@@ -175,7 +175,9 @@ let reproduce () =
     Ppp_experiments.Registry.all;
   match metrics_dir with
   | Some dir ->
-      Ppp_telemetry.Export.write_metrics_dir ~dir
+      Ppp_telemetry.Export.write_metrics
+        ~run_cache:(Ppp_core.Runner.cache_stats ())
+        ~dir
         ~run:
           {
             Ppp_telemetry.Manifest.tool = "bench";

@@ -209,7 +209,9 @@ let finish_telemetry_exn params t =
           sample_cycles = Ppp_telemetry.Recorder.sampling ();
         }
       in
-      Ppp_telemetry.Export.write_metrics_dir ~dir ~run;
+      Ppp_telemetry.Export.write_metrics
+        ~run_cache:(Ppp_core.Runner.cache_stats ())
+        ~dir ~run;
       Printf.eprintf "wrote series.csv, spans.csv, manifest.json to %s/\n%!"
         dir
   | None -> ());

@@ -114,6 +114,18 @@ val run :
     counter series (sampling) and a wall-clock span, both tagged with
     [params.cell].
 
+    Results may come from a process-wide run cache: a call equal to an
+    earlier one in [params] (except the telemetry-only [cell]), [specs] and
+    the recorder's sampling period is simulated once. A hit returns fresh
+    results (mutating them never affects later hits), replays the earlier
+    run's series under this call's [cell], and records its span in the
+    category ["runcache"] instead of ["runner"]. Concurrent callers of the
+    same key wait for the one simulating it; if that simulation raises,
+    each waiter simulates for itself. Calls with [?probe], [?wrap] or
+    [params.profile] bypass the cache and always simulate. Specs are
+    validated first ([Invalid_argument] on an empty list, a core or a node
+    out of range), so an invalid call never touches the cache.
+
     [?probe] is teed with the telemetry sampler (the engine takes a single
     probe): both receive every sample. Because the two consumers would
     otherwise disagree about what a slice means, the caller's
@@ -125,6 +137,22 @@ val run :
     to the machine being simulated — the hook used to interpose
     {!Throttle.l3_budget_source} for closed-loop experiments. It runs once
     per flow during setup; identity by default. *)
+
+type cache_stats = Ppp_telemetry.Manifest.run_cache = {
+  hits : int;
+  misses : int;
+  saved_cycles : int;
+}
+
+val cache_stats : unit -> cache_stats
+(** Hits, misses and saved simulated core-cycles of the run cache since
+    the start of the process (or the last {!reset_cache}). Deterministic
+    under any job count: every distinct key is one miss, every other call
+    one hit. *)
+
+val reset_cache : unit -> unit
+(** Empties the run cache and zeroes its statistics. For tests that compare
+    two simulations of the same runs, e.g. across job counts. *)
 
 val cell_params : params -> string -> params
 (** [cell_params p label] is [p] with its seed replaced by
@@ -142,7 +170,9 @@ val with_cell : params -> string -> params
 val solo : ?params:params -> Ppp_apps.App.kind -> Ppp_hw.Engine.result
 (** The kind alone on core 0, data local. Seeded from
     [cell_params params ("solo/" ^ name kind)], making the solo baseline of
-    a kind identical wherever it is computed. *)
+    a kind identical wherever it is computed — and, through {!run}'s cache,
+    simulated once per process for given [params], whichever experiment
+    asks first; the bypass rules of {!run} apply. *)
 
 val drop : solo:Ppp_hw.Engine.result -> corun:Ppp_hw.Engine.result -> float
 (** Fractional contention-induced drop, >= -epsilon in practice. *)

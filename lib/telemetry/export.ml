@@ -23,7 +23,7 @@ let write_string path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
-let write_metrics_dir ~dir ~run =
+let write_metrics ~run_cache ~dir ~run =
   ensure_dir dir;
   let series = Recorder.series () in
   let spans = Recorder.spans () in
@@ -36,9 +36,11 @@ let write_metrics_dir ~dir ~run =
        ~classifier:(Recorder.classifier ())
        ~traffic:(Recorder.traffic ())
        ~profile:(Recorder.profile ())
-       ~run
+       ~run_cache ~run
        ~experiments:(Recorder.experiments ())
        ~series ~spans ())
+
+let write_metrics_dir = write_metrics ~run_cache:Manifest.no_run_cache
 
 let write_profile_dir ~dir =
   ensure_dir dir;

@@ -18,8 +18,14 @@ val deterministic_trace : meta:(string * Json.t) list -> Json.t
 val write_trace : path:string -> meta:(string * Json.t) list -> unit
 (** Full Chrome trace (simulated tracks + wall-clock spans) to [path]. *)
 
+val write_metrics :
+  run_cache:Manifest.run_cache -> dir:string -> run:Manifest.run -> unit
+(** Creates [dir] (and parents) if needed and writes the three files; the
+    manifest's [run_cache] section reports [run_cache]. *)
+
 val write_metrics_dir : dir:string -> run:Manifest.run -> unit
-(** Creates [dir] (and parents) if needed and writes the three files. *)
+(** {!write_metrics} with {!Manifest.no_run_cache}, for callers that do not
+    report the run cache. *)
 
 val write_profile_dir : dir:string -> unit
 (** Writes the profiler's flamegraph-ready exports from the recorder's

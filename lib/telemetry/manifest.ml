@@ -9,8 +9,11 @@ type run = {
   sample_cycles : int option;
 }
 
-let schema = "ppp-telemetry/5"
-let schema_version = 5
+type run_cache = { hits : int; misses : int; saved_cycles : int }
+
+let no_run_cache = { hits = 0; misses = 0; saved_cycles = 0 }
+let schema = "ppp-telemetry/6"
+let schema_version = 6
 
 (* The alerts section summarizes monitor events. It is always present —
    an empty section (0 events) is the valid shape for non-monitor runs —
@@ -136,8 +139,19 @@ let profile_json (entries : Recorder.profile_entry list) =
              (Profile.by_element entries)) );
     ]
 
+(* Schema 6: the run_cache section reports how many Runner.run calls were
+   served from the process-wide run cache. Always present; zeros for tools
+   that do not pass the cache's statistics. *)
+let run_cache_json c =
+  Json.Obj
+    [
+      ("hits", Json.Int c.hits);
+      ("misses", Json.Int c.misses);
+      ("saved_cycles", Json.Int c.saved_cycles);
+    ]
+
 let json ?(events = []) ?(classifier = []) ?(traffic = []) ?(profile = [])
-    ~run ~experiments ~series ~spans () =
+    ?(run_cache = no_run_cache) ~run ~experiments ~series ~spans () =
   let n_slices =
     List.fold_left
       (fun acc (s : Timeseries.t) -> acc + List.length s.Timeseries.slices)
@@ -198,6 +212,7 @@ let json ?(events = []) ?(classifier = []) ?(traffic = []) ?(profile = [])
       ("classifier", classifier_json classifier);
       ("traffic", traffic_json traffic);
       ("profile", profile_json profile);
+      ("run_cache", run_cache_json run_cache);
       ( "wall_clock",
         Json.Obj
           [

@@ -17,25 +17,40 @@ type run = {
   sample_cycles : int option;  (** slice length when sampling was on *)
 }
 
+type run_cache = {
+  hits : int;  (** [Runner.run] calls served from the run cache *)
+  misses : int;  (** calls that simulated and filled a cache entry *)
+  saved_cycles : int;
+      (** simulated core-cycles (warmup plus measured window, summed over
+          the run's flows) that the hits did not have to simulate *)
+}
+(** The run cache's statistics; deterministic under any job count. *)
+
+val no_run_cache : run_cache
+(** All zeros: what the section reports when no statistics are passed. *)
+
 val json :
   ?events:Event.t list ->
   ?classifier:Recorder.classifier_entry list ->
   ?traffic:Recorder.traffic_entry list ->
   ?profile:Recorder.profile_entry list ->
+  ?run_cache:run_cache ->
   run:run ->
   experiments:Recorder.experiment_entry list ->
   series:Timeseries.t list ->
   spans:Span.t list ->
   unit ->
   Json.t
-(** Schema "ppp-telemetry/5": a [schema_version] field, an [alerts] section
+(** Schema "ppp-telemetry/6": a [schema_version] field, an [alerts] section
     summarizing monitor events (count + per-name breakdown), a [classifier]
     section summarizing fast-path/slow-path counters (totals + per-cell
     breakdown), a [traffic] section summarizing the traffic-realism
     cells (reorders, steering migrations, predictor/monitor accuracy), and
     a [profile] section summarizing per-element attribution (totals +
-    per-element breakdown with worst-core latency percentiles).
-    All four sections are always emitted; with no data they are the
+    per-element breakdown with worst-core latency percentiles), and a
+    [run_cache] section with the run cache's hits, misses and saved
+    simulated cycles ([run_cache] defaults to {!no_run_cache}).
+    All five sections are always emitted; with no data they are the
     empty-but-valid shapes ({["events": 0]}, {["cells": 0]},
-    {["entries": 0]}), so runs that exercise none of the subsystems stay
-    schema-conforming. *)
+    {["entries": 0]}, {["hits": 0]}), so runs that exercise none of the
+    subsystems stay schema-conforming. *)

@@ -109,3 +109,38 @@ let clear t =
   t.total <- 0;
   t.vmin <- max_int;
   t.vmax <- 0
+
+(* Only the non-empty buckets, as parallel (index, count) arrays: a latency
+   distribution typically touches a few dozen of the 960 buckets. *)
+type sparse = {
+  s_index : int array;
+  s_counts : int array;
+  s_count : int;
+  s_total : int;
+  s_min : int;
+  s_max : int;
+}
+
+let to_sparse t =
+  let idx = ref [] in
+  for i = bucket_count - 1 downto 0 do
+    if t.buckets.(i) > 0 then idx := i :: !idx
+  done;
+  let s_index = Array.of_list !idx in
+  {
+    s_index;
+    s_counts = Array.map (fun i -> t.buckets.(i)) s_index;
+    s_count = t.count;
+    s_total = t.total;
+    s_min = t.vmin;
+    s_max = t.vmax;
+  }
+
+let of_sparse s =
+  let t = create () in
+  Array.iteri (fun k i -> t.buckets.(i) <- s.s_counts.(k)) s.s_index;
+  t.count <- s.s_count;
+  t.total <- s.s_total;
+  t.vmin <- s.s_min;
+  t.vmax <- s.s_max;
+  t

@@ -51,3 +51,14 @@ val merge_into : src:t -> dst:t -> unit
 (** Adds [src]'s samples into [dst], including the exact min/max. *)
 
 val clear : t -> unit
+
+type sparse
+(** An immutable snapshot holding only the non-empty buckets plus the exact
+    count, total, min and max — a few words per occupied bucket instead of
+    the dense 960-bucket array, for keeping many distributions alive. *)
+
+val to_sparse : t -> sparse
+
+val of_sparse : sparse -> t
+(** A fresh histogram equal to the snapshotted one under every query; the
+    snapshot is untouched by later mutation of either side. *)

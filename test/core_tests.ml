@@ -92,8 +92,11 @@ let test_runner_solo_sane () =
   Alcotest.(check bool) "positive throughput" true (r.Ppp_hw.Engine.throughput_pps > 0.0);
   Alcotest.(check bool) "packets measured" true (r.Ppp_hw.Engine.packets > 0)
 
+(* Two simulations, not a simulation and its run-cache replay. *)
 let test_runner_determinism () =
+  Runner.reset_cache ();
   let a = Runner.solo ~params:quick Ppp_apps.App.IP in
+  Runner.reset_cache ();
   let b = Runner.solo ~params:quick Ppp_apps.App.IP in
   Alcotest.(check int) "same packets" a.Ppp_hw.Engine.packets b.Ppp_hw.Engine.packets
 

@@ -18,10 +18,13 @@ let with_jobs n f =
   Parallel.set_jobs n;
   Fun.protect ~finally:(fun () -> Parallel.set_jobs prev) f
 
+(* Each render starts from an empty run cache, so every comparison below is
+   between two simulations, not a simulation and its cached replay. *)
 let render ?batch id ~seed ~jobs =
   match Registry.find id with
   | None -> Alcotest.failf "experiment %s not registered" id
   | Some e ->
+      Runner.reset_cache ();
       with_jobs jobs (fun () ->
           (e.Registry.run ~params:(params ?batch ~seed ()) ())
             .Ppp_experiments.Output.text)

@@ -255,6 +255,7 @@ let with_jobs n f =
   Fun.protect ~finally:(fun () -> Ppp_core.Parallel.set_jobs prev) f
 
 let monitor_outputs ~jobs =
+  Ppp_core.Runner.reset_cache ();
   with_jobs jobs (fun () ->
       let out = Ppp_experiments.Monitor_exp.run ~params:quick () in
       let det =

@@ -142,6 +142,7 @@ let with_jobs n f =
   Fun.protect ~finally:(fun () -> Ppp_core.Parallel.set_jobs prev) f
 
 let fig2_exports ~jobs =
+  Ppp_core.Runner.reset_cache ();
   with_jobs jobs (fun () ->
       with_recorder ~sample_cycles:100_000 (fun () ->
           Recorder.set_experiment "fig2";
@@ -222,8 +223,9 @@ let test_manifest_shape () =
             (Printf.sprintf "manifest mentions %s" needle)
             true (minified_contains s needle))
         [
-          "ppp-telemetry/5"; "\"schema_version\":5"; "\"tool\":\"test\"";
+          "ppp-telemetry/6"; "\"schema_version\":6"; "\"tool\":\"test\"";
           "\"fig2\""; "wall_clock"; "\"profile\":{\"entries\":0";
+          "\"run_cache\":{\"hits\":0,\"misses\":0,\"saved_cycles\":0}";
         ])
 
 let test_manifest_alerts_shape () =

@@ -11,6 +11,7 @@ let () =
       ("classify", Classify_tests.tests);
       ("traffic", Traffic_tests.tests);
       ("core", Core_tests.tests);
+      ("run_cache", Run_cache_tests.tests);
       ("experiments", Experiments_tests.tests);
       ("engine-equiv", Engine_equiv_tests.tests);
       ("perf-gate", Perf_gate_tests.tests);

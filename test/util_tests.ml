@@ -444,6 +444,27 @@ let prop_histogram_merge_minmax =
       && Histogram.percentile a 0.0 = Histogram.percentile u 0.0
       && Histogram.percentile a 100.0 = Histogram.percentile u 100.0)
 
+let prop_histogram_sparse_roundtrip =
+  QCheck.Test.make ~count:500
+    ~name:"of_sparse (to_sparse h) answers every query like h"
+    QCheck.(
+      pair
+        (list (int_range 0 1_000_000))
+        (list_of_size Gen.(int_range 0 5) (int_range 0 (1 lsl 50))))
+    (fun (xs, big) ->
+      let h = Histogram.create () in
+      List.iter (Histogram.record h) (xs @ big);
+      let r = Histogram.of_sparse (Histogram.to_sparse h) in
+      Histogram.count r = Histogram.count h
+      && Histogram.total r = Histogram.total h
+      && Histogram.mean r = Histogram.mean h
+      && Histogram.min_value r = Histogram.min_value h
+      && Histogram.exact_max r = Histogram.exact_max h
+      && Histogram.max_value r = Histogram.max_value h
+      && List.for_all
+           (fun p -> Histogram.percentile r p = Histogram.percentile h p)
+           [ 0.0; 50.0; 90.0; 99.0; 99.9; 100.0 ])
+
 let tests =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -493,6 +514,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_histogram_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_histogram_endpoints_exact;
     QCheck_alcotest.to_alcotest prop_histogram_merge_minmax;
+    QCheck_alcotest.to_alcotest prop_histogram_sparse_roundtrip;
     QCheck_alcotest.to_alcotest prop_series_eval_within_bounds;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_rng_int_in_range;
