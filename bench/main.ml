@@ -269,7 +269,7 @@ let bench_re_encode =
   Test.make ~name:"re_encode_512B"
     (Staged.stage (fun () ->
          Ppp_hw.Trace.Builder.clear b;
-         if Ppp_util.Rng.bool rng then Ppp_util.Rng.fill_bytes rng payload;
+         if Ppp_util.Rng.bool rng then Ppp_util.Rng.fill_bytes rng payload ~pos:0 ~len:512;
          ignore
            (Ppp_apps.Re.encode re b ~fn:Ppp_hw.Fn.none payload ~pos:0 ~len:512
               ~out
@@ -340,7 +340,7 @@ let bench_dpi_scan =
   let rng = Ppp_util.Rng.create ~seed:10 in
   Test.make ~name:"dpi_scan_512B"
     (Staged.stage (fun () ->
-         Ppp_util.Rng.fill_bytes rng payload;
+         Ppp_util.Rng.fill_bytes rng payload ~pos:0 ~len:512;
          Ppp_apps.Dpi.scan_quiet dpi payload ~pos:0 ~len:512))
 
 (* authenticated VPN: HMAC-SHA256 of a 512B payload. *)

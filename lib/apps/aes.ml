@@ -30,156 +30,155 @@ let sbox, inv_sbox =
   done;
   (s, si)
 
-type key = int array array (* 11 round keys of 16 bytes *)
+(* The state is four 32-bit column words, big-endian within the word:
+   block byte [4c + r] is row [r] of column [c] (FIPS-197 input order). *)
+let mask32 = 0xFFFFFFFF
+let ror8 w = ((w lsr 8) lor (w lsl 24)) land mask32
+
+(* Encryption T-tables. [te0.(x)] is the MixColumns image of the column
+   (S(x), 0, 0, 0): bytes (2·S(x), S(x), S(x), 3·S(x)). [te1..te3] are its
+   byte rotations, for the rows ShiftRows brings in from the next three
+   columns. A full round on one column is then four lookups and four XORs. *)
+let te0 =
+  Array.init 256 (fun x ->
+      let s = sbox.(x) in
+      let s2 = xtime s in
+      (s2 lsl 24) lor (s lsl 16) lor (s lsl 8) lor (s2 lxor s))
+
+let te1 = Array.map ror8 te0
+let te2 = Array.map ror8 te1
+let te3 = Array.map ror8 te2
+
+(* Indices below are 8-bit masked, so the unchecked loads stay in range. *)
+let[@inline] t0 w = Array.unsafe_get te0 (w lsr 24)
+let[@inline] t1 w = Array.unsafe_get te1 ((w lsr 16) land 0xFF)
+let[@inline] t2 w = Array.unsafe_get te2 ((w lsr 8) land 0xFF)
+let[@inline] t3 w = Array.unsafe_get te3 (w land 0xFF)
+
+(* Substitute each byte through [tbl], taking row [r] from word [wr]: the
+   SubBytes+ShiftRows of a final round (and its inverse), and SubWord. *)
+let[@inline] sub_rows tbl w0 w1 w2 w3 =
+  (Array.unsafe_get tbl (w0 lsr 24) lsl 24)
+  lor (Array.unsafe_get tbl ((w1 lsr 16) land 0xFF) lsl 16)
+  lor (Array.unsafe_get tbl ((w2 lsr 8) land 0xFF) lsl 8)
+  lor Array.unsafe_get tbl (w3 land 0xFF)
+
+let[@inline] get_word b i =
+  (Char.code (Bytes.get b i) lsl 24)
+  lor (Char.code (Bytes.get b (i + 1)) lsl 16)
+  lor (Char.code (Bytes.get b (i + 2)) lsl 8)
+  lor Char.code (Bytes.get b (i + 3))
+
+type key = int array (* 44 round-key words: round r is words 4r..4r+3 *)
 
 let expand_key k =
   if String.length k <> 16 then invalid_arg "Aes.expand_key: need 16 bytes";
   let w = Array.make 44 0 in
-  (* 32-bit words, big-endian byte order within the word *)
   for i = 0 to 3 do
-    w.(i) <-
-      (Char.code k.[4 * i] lsl 24)
-      lor (Char.code k.[(4 * i) + 1] lsl 16)
-      lor (Char.code k.[(4 * i) + 2] lsl 8)
-      lor Char.code k.[(4 * i) + 3]
+    w.(i) <- get_word (Bytes.unsafe_of_string k) (4 * i)
   done;
-  let sub_word x =
-    (sbox.((x lsr 24) land 0xFF) lsl 24)
-    lor (sbox.((x lsr 16) land 0xFF) lsl 16)
-    lor (sbox.((x lsr 8) land 0xFF) lsl 8)
-    lor sbox.(x land 0xFF)
-  in
-  let rot_word x = ((x lsl 8) lor (x lsr 24)) land 0xFFFFFFFF in
   let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1B; 0x36 |] in
   for i = 4 to 43 do
     let temp = w.(i - 1) in
     let temp =
-      if i mod 4 = 0 then sub_word (rot_word temp) lxor (rcon.((i / 4) - 1) lsl 24)
+      if i mod 4 = 0 then
+        (* SubWord (RotWord temp) *)
+        let r = ((temp lsl 8) lor (temp lsr 24)) land mask32 in
+        sub_rows sbox r r r r lxor (rcon.((i / 4) - 1) lsl 24)
       else temp
     in
     w.(i) <- w.(i - 4) lxor temp
   done;
-  Array.init 11 (fun r ->
-      Array.init 16 (fun b ->
-          let word = w.((r * 4) + (b / 4)) in
-          (word lsr (8 * (3 - (b mod 4)))) land 0xFF))
+  w
 
-let add_round_key st rk =
-  for i = 0 to 15 do
-    st.(i) <- st.(i) lxor rk.(i)
+(* Write the first [n] bytes of the block (o0, o1, o2, o3) at [at], or XOR
+   them into what is there. *)
+let emit b ~at ~n ~xor o0 o1 o2 o3 =
+  for k = 0 to n - 1 do
+    let w = match k lsr 2 with 0 -> o0 | 1 -> o1 | 2 -> o2 | _ -> o3 in
+    let v = (w lsr (24 - (8 * (k land 3)))) land 0xFF in
+    let i = at + k in
+    let v = if xor then v lxor Char.code (Bytes.get b i) else v in
+    Bytes.set b i (Char.unsafe_chr v)
   done
 
-let sub_bytes st tbl =
-  for i = 0 to 15 do
-    st.(i) <- tbl.(st.(i))
-  done
-
-(* State layout: st.(4*c + r) = column-major as in FIPS-197 input order. *)
-let shift_rows st =
-  let old = Array.copy st in
-  for c = 0 to 3 do
-    for r = 1 to 3 do
-      st.((4 * c) + r) <- old.((4 * ((c + r) mod 4)) + r)
-    done
-  done
-
-let inv_shift_rows st =
-  let old = Array.copy st in
-  for c = 0 to 3 do
-    for r = 1 to 3 do
-      st.((4 * ((c + r) mod 4)) + r) <- old.((4 * c) + r)
-    done
-  done
-
-let mix_columns st =
-  for c = 0 to 3 do
-    let a0 = st.(4 * c) and a1 = st.((4 * c) + 1) in
-    let a2 = st.((4 * c) + 2) and a3 = st.((4 * c) + 3) in
-    st.(4 * c) <- gmul a0 2 lxor gmul a1 3 lxor a2 lxor a3;
-    st.((4 * c) + 1) <- a0 lxor gmul a1 2 lxor gmul a2 3 lxor a3;
-    st.((4 * c) + 2) <- a0 lxor a1 lxor gmul a2 2 lxor gmul a3 3;
-    st.((4 * c) + 3) <- gmul a0 3 lxor a1 lxor a2 lxor gmul a3 2
-  done
-
-let inv_mix_columns st =
-  for c = 0 to 3 do
-    let a0 = st.(4 * c) and a1 = st.((4 * c) + 1) in
-    let a2 = st.((4 * c) + 2) and a3 = st.((4 * c) + 3) in
-    st.(4 * c) <- gmul a0 14 lxor gmul a1 11 lxor gmul a2 13 lxor gmul a3 9;
-    st.((4 * c) + 1) <- gmul a0 9 lxor gmul a1 14 lxor gmul a2 11 lxor gmul a3 13;
-    st.((4 * c) + 2) <- gmul a0 13 lxor gmul a1 9 lxor gmul a2 14 lxor gmul a3 11;
-    st.((4 * c) + 3) <- gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14
-  done
-
-let encrypt_state key st =
-  add_round_key st key.(0);
-  for round = 1 to 9 do
-    sub_bytes st sbox;
-    shift_rows st;
-    mix_columns st;
-    add_round_key st key.(round)
+(* The forward cipher on one block given as column words: the single
+   encryption path behind [encrypt_block] and the CTR keystream. Word-sized
+   state in locals — no per-round allocation. *)
+let cipher ek s0 s1 s2 s3 b ~at ~n ~xor =
+  let s0 = ref (s0 lxor ek.(0)) and s1 = ref (s1 lxor ek.(1)) in
+  let s2 = ref (s2 lxor ek.(2)) and s3 = ref (s3 lxor ek.(3)) in
+  for r = 1 to 9 do
+    let k = 4 * r in
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 := t0 a0 lxor t1 a1 lxor t2 a2 lxor t3 a3 lxor Array.unsafe_get ek k;
+    s1 := t0 a1 lxor t1 a2 lxor t2 a3 lxor t3 a0 lxor Array.unsafe_get ek (k + 1);
+    s2 := t0 a2 lxor t1 a3 lxor t2 a0 lxor t3 a1 lxor Array.unsafe_get ek (k + 2);
+    s3 := t0 a3 lxor t1 a0 lxor t2 a1 lxor t3 a2 lxor Array.unsafe_get ek (k + 3)
   done;
-  sub_bytes st sbox;
-  shift_rows st;
-  add_round_key st key.(10)
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+  emit b ~at ~n ~xor
+    (sub_rows sbox a0 a1 a2 a3 lxor ek.(40))
+    (sub_rows sbox a1 a2 a3 a0 lxor ek.(41))
+    (sub_rows sbox a2 a3 a0 a1 lxor ek.(42))
+    (sub_rows sbox a3 a0 a1 a2 lxor ek.(43))
 
-let decrypt_state key st =
-  add_round_key st key.(10);
-  for round = 9 downto 1 do
-    inv_shift_rows st;
-    sub_bytes st inv_sbox;
-    add_round_key st key.(round);
-    inv_mix_columns st
+(* InvMixColumns on one column word. *)
+let inv_mix w =
+  let a0 = w lsr 24 and a1 = (w lsr 16) land 0xFF in
+  let a2 = (w lsr 8) land 0xFF and a3 = w land 0xFF in
+  let row m0 m1 m2 m3 = gmul a0 m0 lxor gmul a1 m1 lxor gmul a2 m2 lxor gmul a3 m3 in
+  (row 14 11 13 9 lsl 24) lor (row 9 14 11 13 lsl 16) lor (row 13 9 14 11 lsl 8)
+  lor row 11 13 9 14
+
+let check_block b i =
+  if i < 0 || i + 16 > Bytes.length b then invalid_arg "Aes: block out of range"
+
+let encrypt_block ek b ~src ~dst =
+  check_block b src;
+  check_block b dst;
+  cipher ek (get_word b src) (get_word b (src + 4)) (get_word b (src + 8))
+    (get_word b (src + 12)) b ~at:dst ~n:16 ~xor:false
+
+(* The FIPS-197 inverse cipher: InvShiftRows+InvSubBytes take row [r] of
+   column [c] from column [c - r]. Not on any packet path. *)
+let decrypt_block ek b ~src ~dst =
+  check_block b src;
+  check_block b dst;
+  let s0 = ref (get_word b src lxor ek.(40)) in
+  let s1 = ref (get_word b (src + 4) lxor ek.(41)) in
+  let s2 = ref (get_word b (src + 8) lxor ek.(42)) in
+  let s3 = ref (get_word b (src + 12) lxor ek.(43)) in
+  let round k =
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 := sub_rows inv_sbox a0 a3 a2 a1 lxor ek.(k);
+    s1 := sub_rows inv_sbox a1 a0 a3 a2 lxor ek.(k + 1);
+    s2 := sub_rows inv_sbox a2 a1 a0 a3 lxor ek.(k + 2);
+    s3 := sub_rows inv_sbox a3 a2 a1 a0 lxor ek.(k + 3)
+  in
+  for r = 9 downto 1 do
+    round (4 * r);
+    s0 := inv_mix !s0;
+    s1 := inv_mix !s1;
+    s2 := inv_mix !s2;
+    s3 := inv_mix !s3
   done;
-  inv_shift_rows st;
-  sub_bytes st inv_sbox;
-  add_round_key st key.(0)
-
-let load st b src =
-  for i = 0 to 15 do
-    st.(i) <- Char.code (Bytes.get b (src + i))
-  done
-
-let store st b dst =
-  for i = 0 to 15 do
-    Bytes.set b (dst + i) (Char.chr st.(i))
-  done
-
-let encrypt_block key b ~src ~dst =
-  let st = Array.make 16 0 in
-  load st b src;
-  encrypt_state key st;
-  store st b dst
-
-let decrypt_block key b ~src ~dst =
-  let st = Array.make 16 0 in
-  load st b src;
-  decrypt_state key st;
-  store st b dst
+  round 0;
+  emit b ~at:dst ~n:16 ~xor:false !s0 !s1 !s2 !s3
 
 let blocks_for len = (len + 15) / 16
 
-let ctr_transform key ~nonce ~counter b ~pos ~len =
+let ctr_transform ek ~nonce ~counter b ~pos ~len =
   if String.length nonce <> 8 then invalid_arg "Aes.ctr_transform: 8-byte nonce";
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Aes.ctr_transform: range";
-  let st = Array.make 16 0 in
-  let keystream = Array.make 16 0 in
-  let nblocks = blocks_for len in
-  for blk = 0 to nblocks - 1 do
-    for i = 0 to 7 do
-      st.(i) <- Char.code nonce.[i]
-    done;
+  let n0 = get_word (Bytes.unsafe_of_string nonce) 0 in
+  let n1 = get_word (Bytes.unsafe_of_string nonce) 4 in
+  for blk = 0 to blocks_for len - 1 do
     let ctr = counter + blk in
-    for i = 0 to 7 do
-      st.(8 + i) <- (ctr lsr (8 * (7 - i))) land 0xFF
-    done;
-    encrypt_state key st;
-    Array.blit st 0 keystream 0 16;
-    let first = pos + (blk * 16) in
-    let last = min (first + 15) (pos + len - 1) in
-    for i = first to last do
-      Bytes.set b i
-        (Char.chr (Char.code (Bytes.get b i) lxor keystream.(i - first)))
-    done
+    let at = pos + (blk * 16) in
+    let rest = pos + len - at in
+    cipher ek n0 n1 ((ctr lsr 32) land mask32) (ctr land mask32) b ~at
+      ~n:(if rest < 16 then rest else 16)
+      ~xor:true
   done

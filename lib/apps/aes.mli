@@ -3,7 +3,8 @@
     Used by the VPN application to really encrypt packet payloads (the
     paper's CPU-intensive flow type). Block encryption/decryption plus CTR
     mode; validated against the FIPS-197 and NIST SP 800-38A vectors in the
-    test suite. *)
+    test suite. Encryption is table-driven (32-bit T-tables over column
+    words) and allocates nothing. *)
 
 type key
 (** An expanded AES-128 key schedule. *)

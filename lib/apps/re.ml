@@ -3,6 +3,9 @@ type t = {
   table : Fingerprint_table.t;
   sample_mask : int;
   scratch : Bytes.t;
+  mutable fps : int array;
+      (* Window fingerprints of the payload being encoded or absorbed,
+         filled once per payload by [fingerprints]. *)
   mutable packets : int;
   mutable bytes_in : int;
   mutable bytes_out : int;
@@ -30,6 +33,7 @@ let create ~heap ~store_bytes ~table_entries ?(sample_mask = 31) () =
     table = Fingerprint_table.create ~heap ~entries:table_entries;
     sample_mask;
     scratch = Bytes.make 128 '\000';
+    fps = [||];
     packets = 0;
     bytes_in = 0;
     bytes_out = 0;
@@ -72,64 +76,56 @@ let match_length t builder ~fn ~off b ~i ~max_len =
   done;
   !matched
 
-(* Find greedy non-overlapping matches in [pos, pos+len). *)
+(* Fingerprint every window of [pos, pos+len) into [t.fps] (grown to the
+   largest payload seen, so the steady state allocates nothing). *)
+let fingerprints t b ~pos ~len =
+  if Array.length t.fps < len then t.fps <- Array.make (max len 2048) 0;
+  Rabin.fill b ~pos ~len t.fps
+
+(* Winnowing: a position is sampled when its fingerprint's low bits under
+   [sample_mask] vanish. Tested once per payload byte, so it stays here
+   rather than behind a call into another module. *)
+let[@inline] sampled t fp = fp land t.sample_mask = 0
+
+(* Find greedy non-overlapping matches in [pos, pos+len); [t.fps] holds the
+   payload's fingerprints. *)
 let find_matches t builder ~fn b ~pos ~len =
   let window = Rabin.window in
   let matches = ref [] in
-  if len >= window then begin
-    let stop = pos + len in
-    let i = ref pos in
-    let st = ref (Rabin.init b ~pos:!i) in
-    let continue_ = ref true in
-    while !continue_ && !i + window <= stop do
-      let fp = Rabin.value !st in
-      let matched =
-        if Rabin.is_sample fp ~mask:t.sample_mask then begin
-          Ppp_hw.Trace.Builder.compute builder ~fn 20;
-          match Fingerprint_table.lookup t.table builder ~fn ~fp with
-          | None -> 0
-          | Some off ->
-              let max_len = min (stop - !i) max_match in
-              let m = match_length t builder ~fn ~off b ~i:!i ~max_len in
-              if m >= window then begin
-                matches := (!i, off, m) :: !matches;
-                m
-              end
-              else 0
-        end
-        else 0
-      in
-      if matched > 0 then begin
-        i := !i + matched;
-        if !i + window <= stop then st := Rabin.init b ~pos:!i
-        else continue_ := false
+  let stop = pos + len in
+  let i = ref pos in
+  while !i + window <= stop do
+    let fp = t.fps.(!i - pos) in
+    let matched =
+      if sampled t fp then begin
+        Ppp_hw.Trace.Builder.compute builder ~fn 20;
+        match Fingerprint_table.lookup t.table builder ~fn ~fp with
+        | None -> 0
+        | Some off ->
+            let max_len = min (stop - !i) max_match in
+            let m = match_length t builder ~fn ~off b ~i:!i ~max_len in
+            if m >= window then begin
+              matches := (!i, off, m) :: !matches;
+              m
+            end
+            else 0
       end
-      else begin
-        incr i;
-        if !i + window <= stop then st := Rabin.roll !st b ~pos:!i
-        else continue_ := false
-      end
-    done
-  end;
+      else 0
+    in
+    i := !i + if matched > 0 then matched else 1
+  done;
   List.rev !matches
 
-(* Append payload to the store and index its sampled fingerprints. *)
+(* Append payload to the store and index its sampled fingerprints, which
+   [t.fps] must hold. *)
 let absorb t builder ~fn b ~pos ~len =
   let base = Packet_store.append t.store builder ~fn b ~pos ~len in
-  let window = Rabin.window in
-  if len >= window then begin
+  if len >= Rabin.window then begin
     Ppp_hw.Trace.Builder.compute builder ~fn (2 * len);
-    let stop = pos + len in
-    let st = ref (Rabin.init b ~pos) in
-    let i = ref pos in
-    let continue_ = ref true in
-    while !continue_ do
-      let fp = Rabin.value !st in
-      if Rabin.is_sample fp ~mask:t.sample_mask then
-        Fingerprint_table.insert t.table builder ~fn ~fp ~off:(base + !i - pos);
-      incr i;
-      if !i + window <= stop then st := Rabin.roll !st b ~pos:!i
-      else continue_ := false
+    for k = 0 to len - Rabin.window do
+      let fp = t.fps.(k) in
+      if sampled t fp then
+        Fingerprint_table.insert t.table builder ~fn ~fp ~off:(base + k)
     done
   end
 
@@ -142,45 +138,47 @@ let put_token out ~at ~off ~len =
   Bytes.set out (at + 7) (Char.chr ((len lsr 8) land 0xFF));
   Bytes.set out (at + 8) (Char.chr (len land 0xFF))
 
+(* Copy [b] from [i] to [stop) into [out] at [o], escaping each magic byte
+   as (magic, esc_literal); returns the new output offset. *)
+let emit_literals b ~i ~stop out ~o =
+  let o = ref o in
+  for i = i to stop - 1 do
+    let c = Bytes.get b i in
+    if Char.code c = magic then begin
+      Bytes.set out !o (Char.chr magic);
+      Bytes.set out (!o + 1) (Char.chr esc_literal);
+      o := !o + 2
+    end
+    else begin
+      Bytes.set out !o c;
+      incr o
+    end
+  done;
+  !o
+
+(* Emit literals with escaping, replacing matched regions by tokens. *)
+let rec emit (t : t) b ~i ~stop out ~o = function
+  | [] -> emit_literals b ~i ~stop out ~o
+  | (mstart, off, mlen) :: rest ->
+      let o = emit_literals b ~i ~stop:mstart out ~o in
+      put_token out ~at:o ~off ~len:mlen;
+      t.matches <- t.matches + 1;
+      t.match_bytes <- t.match_bytes + mlen;
+      emit t b ~i:(mstart + mlen) ~stop out ~o:(o + token_bytes) rest
+
 let encode t builder ~fn b ~pos ~len ~out =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Re.encode: range";
   if Bytes.length out < (2 * len) + 16 then invalid_arg "Re.encode: out too small";
+  fingerprints t b ~pos ~len;
   let matches = find_matches t builder ~fn b ~pos ~len in
   Ppp_hw.Trace.Builder.compute builder ~fn (2 * len);
   absorb t builder ~fn b ~pos ~len;
-  (* Emit literals with escaping, replacing matched regions by tokens. *)
-  let o = ref 0 in
-  let i = ref pos in
-  let emit_literal_upto stop =
-    while !i < stop do
-      let c = Char.code (Bytes.get b !i) in
-      if c = magic then begin
-        Bytes.set out !o (Char.chr magic);
-        Bytes.set out (!o + 1) (Char.chr esc_literal);
-        o := !o + 2
-      end
-      else begin
-        Bytes.set out !o (Char.chr c);
-        incr o
-      end;
-      incr i
-    done
-  in
-  List.iter
-    (fun (mstart, off, mlen) ->
-      emit_literal_upto mstart;
-      put_token out ~at:!o ~off ~len:mlen;
-      o := !o + token_bytes;
-      i := mstart + mlen;
-      t.matches <- t.matches + 1;
-      t.match_bytes <- t.match_bytes + mlen)
-    matches;
-  emit_literal_upto (pos + len);
+  let o = emit t b ~i:pos ~stop:(pos + len) out ~o:0 matches in
   t.packets <- t.packets + 1;
   t.bytes_in <- t.bytes_in + len;
-  t.bytes_out <- t.bytes_out + !o;
-  !o
+  t.bytes_out <- t.bytes_out + o;
+  o
 
 let decode t builder ~fn b ~pos ~len ~out =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
@@ -221,6 +219,7 @@ let decode t builder ~fn b ~pos ~len ~out =
     end
   done;
   Ppp_hw.Trace.Builder.compute builder ~fn (2 * !o);
+  fingerprints t out ~pos:0 ~len:!o;
   absorb t builder ~fn out ~pos:0 ~len:!o;
   t.packets <- t.packets + 1;
   !o

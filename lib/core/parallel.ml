@@ -44,10 +44,13 @@ let with_item_span ~t_queue i f =
     r
   end
 
-(* Work-stealing by index from a shared counter. Only the main domain fans
-   out: nested calls (a parallel experiment whose cells themselves call a
-   parallel helper) degrade to sequential inside workers, bounding the pool
-   at [jobs] domains total. *)
+(* Set on a domain while it runs pool items, the main domain included. A
+   [mapi] called from inside an item (a parallel experiment whose cells
+   themselves call a parallel helper) degrades to sequential, bounding the
+   pool at [jobs] domains total. *)
+let in_item = Domain.DLS.new_key (fun () -> false)
+
+(* Work-stealing by index from a shared counter. *)
 let pooled_mapi ~jobs f xs =
   let input = Array.of_list xs in
   let n = Array.length input in
@@ -55,7 +58,7 @@ let pooled_mapi ~jobs f xs =
   let error = Atomic.make None in
   let next = Atomic.make 0 in
   let t_queue = Ppp_telemetry.Span.now_s () in
-  let rec worker () =
+  let rec work () =
     let i = Atomic.fetch_and_add next 1 in
     if i < n then begin
       (match with_item_span ~t_queue i (fun () -> f i input.(i)) with
@@ -71,8 +74,12 @@ let pooled_mapi ~jobs f xs =
                   record ()
           in
           record ());
-      worker ()
+      work ()
     end
+  in
+  let worker () =
+    Domain.DLS.set in_item true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set in_item false) work
   in
   let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
   worker ();
@@ -85,7 +92,7 @@ let mapi ?jobs:j f xs =
   let requested = match j with Some n when n > 0 -> n | _ -> jobs () in
   let n = List.length xs in
   let jobs = min requested n in
-  if jobs <= 1 || not (Domain.is_main_domain ()) then sequential_mapi f xs
+  if jobs <= 1 || Domain.DLS.get in_item then sequential_mapi f xs
   else pooled_mapi ~jobs f xs
 
 let map ?jobs f xs = mapi ?jobs (fun _ x -> f x) xs

@@ -23,9 +23,10 @@ val jobs : unit -> int
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] applies [f] to every element, possibly in parallel, and
     returns results in input order. [f] must not share mutable state
-    across elements. Calls from inside a worker run sequentially (no
-    nested pools). If any [f x] raises, the exception of the lowest
-    index is re-raised after the pool drains. *)
+    across elements. Calls from inside a pool item run sequentially on
+    that item's domain, the main one included (no nested pools). If any
+    [f x] raises, the exception of the lowest index is re-raised after the
+    pool drains. *)
 
 val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
 (** [map] with the element's index, e.g. for per-cell seed derivation.

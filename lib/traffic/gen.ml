@@ -25,12 +25,7 @@ let fill_flow pkt ~flow ~wire_len =
   fill_ipv4_udp pkt ~src ~dst ~sport ~dport ~wire_len
 
 let random_payload rng pkt ~pos ~len =
-  for i = pos to pos + len - 1 do
-    Ppp_net.Packet.set8 pkt i (Ppp_util.Rng.byte rng)
-  done
+  Ppp_util.Rng.fill_bytes rng pkt.Ppp_net.Packet.data ~pos ~len
 
 let seeded_payload ~seed pkt ~pos ~len =
-  let rng = Ppp_util.Rng.create ~seed in
-  for i = pos to pos + len - 1 do
-    Ppp_net.Packet.set8 pkt i (Ppp_util.Rng.byte rng)
-  done
+  random_payload (Ppp_util.Rng.create ~seed) pkt ~pos ~len

@@ -46,8 +46,9 @@ val bool : t -> bool
 val byte : t -> int
 (** Uniform in [\[0, 255\]]. *)
 
-val fill_bytes : t -> Bytes.t -> unit
-(** Overwrite a byte buffer with random bytes. *)
+val fill_bytes : t -> Bytes.t -> pos:int -> len:int -> unit
+(** Overwrite [\[pos, pos+len)] with random bytes: the bytes [len] calls
+    of {!byte} would draw, in order. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

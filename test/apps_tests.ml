@@ -366,7 +366,7 @@ let test_re_roundtrip_random () =
   for _ = 1 to 50 do
     let len = 100 + Ppp_util.Rng.int rng 900 in
     let payload = Bytes.create len in
-    Ppp_util.Rng.fill_bytes rng payload;
+    Ppp_util.Rng.fill_bytes rng payload ~pos:0 ~len;
     let enc_len = Re.encode encoder b ~fn payload ~pos:0 ~len ~out in
     let dec_len = Re.decode decoder b ~fn out ~pos:0 ~len:enc_len ~out:dec in
     Alcotest.(check int) "length preserved" len dec_len;

@@ -107,6 +107,40 @@ let test_parallel_map_exception () =
   Alcotest.(check bool)
     "parallel raises the same failure" true (attempt 4 = Some boom)
 
+(* A pool item that calls [mapi] again runs the inner items itself, on
+   whichever domain it is on -- the main one included -- so nested calls at
+   [~jobs:2] never occupy more than two domains. *)
+let test_parallel_nested_bounded () =
+  let seen = Atomic.make [] in
+  let rec note id =
+    let cur = Atomic.get seen in
+    if not (List.mem id cur || Atomic.compare_and_set seen cur (id :: cur)) then
+      note id
+  in
+  let self () = (Domain.self () :> int) in
+  let sums =
+    Parallel.mapi ~jobs:2
+      (fun i _ ->
+        note (self ());
+        List.fold_left ( + ) 0
+          (Parallel.mapi ~jobs:2
+             (fun j _ ->
+               note (self ());
+               (* Enough work for a spawned domain to pick up items. *)
+               let acc = ref 0 in
+               for k = 1 to 20_000 do
+                 acc := !acc + ((k * (i + j)) land 7)
+               done;
+               !acc)
+             (List.init 8 Fun.id)))
+      (List.init 8 Fun.id)
+  in
+  Alcotest.(check int) "all items ran" 8 (List.length sums);
+  let domains = List.length (Atomic.get seen) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct domains <= 2" domains)
+    true (domains <= 2)
+
 (* The traffic experiment adds stateful sources (heavy-tail realizations,
    ON/OFF modulators, churn) and steering state to every cell; all of it
    must be derived from the cell label for the jobs/batch knobs to stay
@@ -123,6 +157,7 @@ let tests =
     Alcotest.test_case "rng seed derivation" `Quick test_rng_derivation;
     Alcotest.test_case "parallel map order" `Quick test_parallel_map_order;
     Alcotest.test_case "parallel map exception" `Quick test_parallel_map_exception;
+    Alcotest.test_case "parallel nesting bounded" `Quick test_parallel_nested_bounded;
     Alcotest.test_case "table1 deterministic across jobs" `Slow
       (check_experiment "table1");
     Alcotest.test_case "fig2 deterministic across jobs" `Slow

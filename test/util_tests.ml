@@ -185,6 +185,23 @@ let test_rng_split_matches_reference () =
     Alcotest.(check int64) "parent stream" (Rng_ref.bits64 b) (Rng.bits64 a)
   done
 
+(* The bulk fill runs its own whole-word copy of the step: its bytes must be
+   the reference's [byte] draws, and it must leave the generator where those
+   draws would have. *)
+let prop_rng_fill_bytes_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"Rng.fill_bytes = reference byte draws"
+    QCheck.(triple int (int_bound 16) (int_bound 600))
+    (fun (seed, pos, len) ->
+      let a = Rng.create ~seed and r = Rng_ref.create ~seed in
+      let b = Bytes.make (pos + len + 3) '\x5A' in
+      Rng.fill_bytes a b ~pos ~len;
+      let expected =
+        String.make pos '\x5A'
+        ^ String.init len (fun _ -> Char.chr (Rng_ref.byte r))
+        ^ "\x5A\x5A\x5A"
+      in
+      Bytes.to_string b = expected && Rng.bits64 a = Rng_ref.bits64 r)
+
 let test_rng_draw_allocation_free () =
   let rng = Rng.create ~seed:5 in
   let sink = ref 0 in
@@ -194,12 +211,17 @@ let test_rng_draw_allocation_free () =
   done;
   Gc.full_major ();
   let a0 = Gc.allocated_bytes () in
+  let buf = Bytes.create 1000 in
   for _ = 1 to 100_000 do
     sink := !sink + Rng.int rng 1000 + Rng.byte rng
   done;
+  for _ = 1 to 100 do
+    Rng.fill_bytes rng buf ~pos:0 ~len:1000
+  done;
   let da = Gc.allocated_bytes () -. a0 in
   ignore (Sys.opaque_identity !sink : int);
-  Alcotest.(check bool) "no allocation across 200k draws" true (da <= 512.0)
+  Alcotest.(check bool)
+    "no allocation across 200k draws and 100k filled bytes" true (da <= 512.0)
 
 (* --- Hashes --- *)
 
@@ -510,6 +532,7 @@ let tests =
       test_rng_split_matches_reference;
     Alcotest.test_case "rng draws allocation-free" `Quick
       test_rng_draw_allocation_free;
+    QCheck_alcotest.to_alcotest prop_rng_fill_bytes_matches_reference;
     QCheck_alcotest.to_alcotest prop_histogram_merge_union;
     QCheck_alcotest.to_alcotest prop_histogram_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_histogram_endpoints_exact;
