@@ -1,15 +1,9 @@
-(* The full benchmark harness:
+(* The perf tool. With no flag it runs Bechamel microbenchmarks of the hot
+   simulator and application paths, one per subsystem a table or figure
+   leans on. With --perf-gate it runs the engine-only perf-gate workloads
+   and writes their JSON report (BENCH_engine.json by default).
 
-   Part 1 regenerates every table and figure of the paper (the experiment
-   drivers of ppp.experiments), printing the same rows/series the paper
-   reports. Part 2 runs Bechamel microbenchmarks of the hot simulator and
-   application paths, one per subsystem a table/figure leans on.
-
-   Pass --quick for quarter-length measurement windows, --tables-only to
-   skip the (wall-clock, hence nondeterministic) microbenchmarks — with it,
-   stdout is byte-identical across --jobs values for a given seed.
-   --metrics-dir DIR additionally samples per-core counters during Part 1
-   and exports series.csv / spans.csv / manifest.json. *)
+   Regenerating the paper's tables and figures is `repro all`'s job. *)
 
 open Bechamel
 open Toolkit
@@ -18,73 +12,26 @@ module Cli = Ppp_util.Cli
 let cli =
   Cli.create ~prog:"bench [options]"
     ~summary:
-      "Regenerate the paper's tables/figures, run microbenchmarks, or (with \
+      "Run microbenchmarks of the hot simulator paths, or (with \
        --perf-gate) measure the engine hot path and write BENCH_engine.json."
 
 let quick =
   Cli.flag cli [ "--quick" ]
-    ~doc:"Quarter-length measurement windows (faster, noisier)."
-
-let tables_only =
-  Cli.flag cli [ "--tables-only" ]
     ~doc:
-      "Skip the (wall-clock, hence nondeterministic) microbenchmarks; \
-       stdout is then byte-identical across --jobs values for a given seed."
-
-let jobs =
-  Cli.int cli [ "--jobs"; "-j" ] ~docv:"N"
-    ~doc:
-      "Worker domains for experiment cells (0 = physical cores). Tables \
-       are byte-identical for any value."
-    0
+      "Shorter measurements: a quarter-second quota per microbenchmark, \
+       quarter-length perf-gate windows (faster, noisier)."
 
 let batch =
   Cli.int cli [ "--batch" ] ~docv:"N"
     ~doc:
-      "Engine burst budget: trace ops a scheduled core may retire per \
-       scheduling decision. Output is byte-identical for any value >= 1."
-    Ppp_core.Runner.default_params.Ppp_core.Runner.batch
-
-let metrics_dir =
-  Cli.opt_string cli [ "--metrics-dir" ] ~docv:"DIR"
-    ~doc:
-      "Sample per-core counters during Part 1 and export series.csv / \
-       spans.csv / manifest.json into DIR."
-
-let profile_flag =
-  Cli.flag cli [ "--profile" ]
-    ~doc:
-      "Attribute cycles / instructions / L3 events to (core, element) \
-       during Part 1. Pure observation — tables are byte-identical either \
-       way. With --metrics-dir, the manifest gains a populated profile \
-       section and the folded flamegraph stacks + top.txt are written \
-       alongside it."
-
-let classifier =
-  Cli.string cli [ "--classifier" ] ~docv:"BACKEND"
-    ~doc:
-      "Slow-path backend for the classifier experiment (tss | range | \
-       all). Other experiments ignore it."
-    "all"
-
-let traffic =
-  Cli.string cli [ "--traffic" ] ~docv:"MODEL"
-    ~doc:
-      "Source model for the traffic experiment (heavy | onoff | churn | \
-       all). Other experiments ignore it."
-    "all"
-
-let steering =
-  Cli.string cli [ "--steering" ] ~docv:"MODEL"
-    ~doc:
-      "NIC steering model for the traffic experiment (rss | fdir | all). \
-       Other experiments ignore it."
-    "all"
+      "Engine burst budget of the perf-gate workloads: trace ops a \
+       scheduled core may retire per scheduling decision."
+    Ppp_core.Runner.Params.default.Ppp_core.Runner.batch
 
 let perf_gate_flag =
   Cli.flag cli [ "--perf-gate" ]
     ~doc:
-      "Instead of the full harness, run the engine-only perf-gate \
+      "Instead of the microbenchmarks, run the engine-only perf-gate \
        workloads (solo/contended/probed + hit-path allocation audit) and \
        write the JSON report."
 
@@ -104,105 +51,12 @@ let () =
   (match Cli.parse cli Sys.argv with
   | [] -> ()
   | a :: _ -> Cli.die cli (Printf.sprintf "unexpected argument %S" a));
-  if !jobs < 0 then Cli.die cli "--jobs must be >= 0";
-  if !batch < 1 then Cli.die cli "--batch must be >= 1";
-  if Ppp_core.Runner.classifier_of_name !classifier = None then
-    Cli.die cli
-      (Printf.sprintf "unknown --classifier backend %S (tss|range|all)"
-         !classifier);
-  if Ppp_core.Runner.traffic_of_name !traffic = None then
-    Cli.die cli
-      (Printf.sprintf "unknown --traffic model %S (heavy|onoff|churn|all)"
-         !traffic);
-  if Ppp_core.Runner.steering_of_name !steering = None then
-    Cli.die cli
-      (Printf.sprintf "unknown --steering model %S (rss|fdir|all)" !steering);
-  Ppp_core.Parallel.set_jobs !jobs
+  if !batch < 1 then Cli.die cli "--batch must be >= 1"
 
 let quick = !quick
-let tables_only = !tables_only
-let metrics_dir = !metrics_dir
 let batch = !batch
 
-let params =
-  let p =
-    Ppp_core.Runner.Params.(
-      default |> with_batch batch
-      |> with_profile !profile_flag
-      |> with_classifier
-           (Option.get (Ppp_core.Runner.classifier_of_name !classifier))
-      |> with_traffic (Option.get (Ppp_core.Runner.traffic_of_name !traffic))
-      |> with_steering
-           (Option.get (Ppp_core.Runner.steering_of_name !steering)))
-  in
-  if quick then
-    Ppp_core.Runner.Params.with_windows
-      ~warmup:(p.Ppp_core.Runner.warmup_cycles / 4)
-      ~measure:(p.Ppp_core.Runner.measure_cycles / 4)
-      p
-  else p
-
-(* --- Part 1: reproduce every table and figure --- *)
-
-let reproduce () =
-  print_endline "==========================================================";
-  print_endline " Part 1: regenerating every table and figure of the paper";
-  print_endline "==========================================================";
-  (match metrics_dir with
-  | Some _ ->
-      Ppp_telemetry.Recorder.configure
-        ~sample_cycles:
-          (max 1 (params.Ppp_core.Runner.measure_cycles / 20))
-        ~spans:true ()
-  | None -> ());
-  List.iter
-    (fun e ->
-      Printf.printf "\n=== %s (%s): %s ===\n%!" e.Ppp_experiments.Registry.id
-        e.Ppp_experiments.Registry.paper_ref e.Ppp_experiments.Registry.title;
-      Ppp_telemetry.Recorder.set_experiment e.Ppp_experiments.Registry.id;
-      let t0 = Unix.gettimeofday () in
-      print_string
-        (e.Ppp_experiments.Registry.run ~params ()).Ppp_experiments.Output.text;
-      let wall_s = Unix.gettimeofday () -. t0 in
-      Ppp_telemetry.Recorder.set_experiment "";
-      Ppp_telemetry.Recorder.record_experiment
-        ~id:e.Ppp_experiments.Registry.id
-        ~title:e.Ppp_experiments.Registry.title
-        ~paper_ref:e.Ppp_experiments.Registry.paper_ref ~wall_s;
-      (* Wall-clock goes to stderr (and the manifest) so stdout is
-         byte-identical across job counts, seeds being equal. *)
-      Printf.eprintf "[%s: %.1fs]\n%!" e.Ppp_experiments.Registry.id wall_s)
-    Ppp_experiments.Registry.all;
-  match metrics_dir with
-  | Some dir ->
-      Ppp_telemetry.Export.write_metrics
-        ~run_cache:(Ppp_core.Runner.cache_stats ())
-        ~dir
-        ~run:
-          {
-            Ppp_telemetry.Manifest.tool = "bench";
-            machine =
-              params.Ppp_core.Runner.config.Ppp_hw.Machine.name;
-            seed = params.Ppp_core.Runner.seed;
-            warmup_cycles = params.Ppp_core.Runner.warmup_cycles;
-            measure_cycles = params.Ppp_core.Runner.measure_cycles;
-            jobs_configured = Ppp_core.Parallel.configured_jobs ();
-            jobs_effective = Ppp_core.Parallel.jobs ();
-            sample_cycles = Ppp_telemetry.Recorder.sampling ();
-          };
-      Printf.eprintf "wrote series.csv, spans.csv, manifest.json to %s/\n%!"
-        dir;
-      if !profile_flag then begin
-        Ppp_telemetry.Export.write_profile_dir ~dir;
-        Printf.eprintf
-          "wrote profile_cycles.folded, profile_l3_misses.folded, top.txt \
-           to %s/\n\
-           %!"
-          dir
-      end
-  | None -> ()
-
-(* --- Part 2: microbenchmarks of the paths each experiment exercises --- *)
+(* --- Microbenchmarks of the paths each experiment exercises --- *)
 
 let heap () = Ppp_simmem.Heap.create ~node:0
 
@@ -361,10 +215,6 @@ let bench_cache_model =
            ~target_hits_per_sec:1e7 ~competing_refs_per_sec:!rc))
 
 let microbenchmarks () =
-  print_endline "";
-  print_endline "==========================================================";
-  print_endline " Part 2: microbenchmarks of the hot simulator paths";
-  print_endline "==========================================================";
   let tests =
     [
       bench_cache_access;
@@ -453,9 +303,4 @@ let perf_gate () =
     sf.Ppp_core.Perf_gate.bytes_per_fill sf.Ppp_core.Perf_gate.sf_zero_alloc;
   Printf.printf "wrote %s\n%!" out
 
-let () =
-  if !perf_gate_flag then perf_gate ()
-  else begin
-    reproduce ();
-    if not tables_only then microbenchmarks ()
-  end
+let () = if !perf_gate_flag then perf_gate () else microbenchmarks ()

@@ -12,11 +12,11 @@ let params_args cli =
   let seed = Cli.int cli [ "--seed" ] ~docv:"N" ~doc:"Random seed." 42 in
   let warmup =
     Cli.int cli [ "--warmup" ] ~docv:"CYCLES" ~doc:"Warmup cycles."
-      Ppp_core.Runner.default_params.Ppp_core.Runner.warmup_cycles
+      Ppp_core.Runner.Params.default.Ppp_core.Runner.warmup_cycles
   in
   let measure =
     Cli.int cli [ "--measure" ] ~docv:"CYCLES" ~doc:"Measured cycles."
-      Ppp_core.Runner.default_params.Ppp_core.Runner.measure_cycles
+      Ppp_core.Runner.Params.default.Ppp_core.Runner.measure_cycles
   in
   let quick =
     Cli.flag cli [ "--quick" ]
@@ -27,7 +27,7 @@ let params_args cli =
       ~doc:
         "Engine burst budget: trace ops a scheduled core may retire per \
          scheduling decision. Output is byte-identical for any value >= 1."
-      Ppp_core.Runner.default_params.Ppp_core.Runner.batch
+      Ppp_core.Runner.Params.default.Ppp_core.Runner.batch
   in
   let jobs =
     Cli.int cli [ "--jobs"; "-j" ] ~docv:"N"
@@ -35,27 +35,6 @@ let params_args cli =
         "Worker domains for independent experiment cells (0 = physical \
          cores, 1 = sequential). Output is byte-identical for any value."
       0
-  in
-  let classifier =
-    Cli.string cli [ "--classifier" ] ~docv:"BACKEND"
-      ~doc:
-        "Slow-path backend for the classifier experiment (tss | range | \
-         all). Other experiments ignore it."
-      "all"
-  in
-  let traffic =
-    Cli.string cli [ "--traffic" ] ~docv:"MODEL"
-      ~doc:
-        "Source model for the traffic experiment (heavy | onoff | churn | \
-         all). Other experiments ignore it."
-      "all"
-  in
-  let steering =
-    Cli.string cli [ "--steering" ] ~docv:"MODEL"
-      ~doc:
-        "NIC steering model for the traffic experiment (rss | fdir | all). \
-         Other experiments ignore it."
-      "all"
   in
   let profile =
     Cli.flag cli [ "--profile" ]
@@ -72,40 +51,12 @@ let params_args cli =
     | Some c ->
         if !jobs < 0 then Cli.die cli "--jobs must be >= 0";
         if !batch < 1 then Cli.die cli "--batch must be >= 1";
-        let classifier =
-          match Ppp_core.Runner.classifier_of_name !classifier with
-          | Some k -> k
-          | None ->
-              Cli.die cli
-                (Printf.sprintf
-                   "unknown --classifier backend %S (tss|range|all)"
-                   !classifier)
-        in
-        let traffic =
-          match Ppp_core.Runner.traffic_of_name !traffic with
-          | Some m -> m
-          | None ->
-              Cli.die cli
-                (Printf.sprintf
-                   "unknown --traffic model %S (heavy|onoff|churn|all)"
-                   !traffic)
-        in
-        let steering =
-          match Ppp_core.Runner.steering_of_name !steering with
-          | Some s -> s
-          | None ->
-              Cli.die cli
-                (Printf.sprintf "unknown --steering model %S (rss|fdir|all)"
-                   !steering)
-        in
         Ppp_core.Parallel.set_jobs !jobs;
         let div = if !quick then 4 else 1 in
         Ppp_core.Runner.Params.(
           default |> with_config c |> with_seed !seed
           |> with_windows ~warmup:(!warmup / div) ~measure:(!measure / div)
-          |> with_batch !batch |> with_classifier classifier
-          |> with_traffic traffic |> with_steering steering
-          |> with_profile !profile))
+          |> with_batch !batch |> with_profile !profile))
 
 (* --- shared flags: telemetry (--trace / --metrics / --sample-cycles) --- *)
 
@@ -522,13 +473,13 @@ let capture_main () =
   in
   let cap = Ppp_traffic.Pcap.create () in
   let pkt = Ppp_net.Packet.create 60 in
-  let fill = Ppp_traffic.Source.to_gen built.Ppp_apps.App.source in
   for _ = 1 to !count do
-    fill pkt;
-    Ppp_traffic.Pcap.append cap pkt
+    match Ppp_traffic.Source.fill built.Ppp_apps.App.source pkt with
+    | Ppp_traffic.Source.Filled -> Ppp_traffic.Pcap.append cap pkt
+    | Ppp_traffic.Source.Exhausted -> ()
   done;
   Ppp_traffic.Pcap.save cap !out;
-  Printf.printf "wrote %d %s packets to %s\n" !count
+  Printf.printf "wrote %d %s packets to %s\n" (Ppp_traffic.Pcap.length cap)
     (Ppp_apps.App.name kind) !out
 
 (* --- monitor --- *)

@@ -176,13 +176,14 @@ let build kind ~heap ~rng ~scale =
           ~buffer_bytes:(max 4096 (base_l3_bytes / scale))
           ~reads_per_packet:reads ~instrs_per_packet:instrs
       in
-      let gen pkt =
+      let fill _ pkt =
         Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
-          ~sport:1000 ~dport:2000 ~wire_len:wire
+          ~sport:1000 ~dport:2000 ~wire_len:wire;
+        Ppp_traffic.Source.Filled
       in
       {
         elements = [ More_elements.Syn.element syn ];
-        source = Ppp_traffic.Source.of_gen ~name:"syn-const" gen;
+        source = Ppp_traffic.Source.make ~name:"syn-const" ~fill ();
         config =
           Printf.sprintf "FromDevice(0) -> Syn(%d, %d) -> ToDevice(0)" reads
             instrs;

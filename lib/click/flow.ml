@@ -1,5 +1,3 @@
-type generator = Ppp_net.Packet.t -> unit
-
 let fn_from_device = Ppp_hw.Fn.register "from_device"
 let fn_to_device = Ppp_hw.Fn.register "to_device"
 let fn_skb_recycle = Ppp_hw.Fn.register "skb_recycle"
@@ -66,11 +64,6 @@ let create ~heap ~rng ~label ~source ~elements ?(rx_slots = 64)
       Ppp_hw.Engine.Reordered (Ppp_hw.Trace.Builder.view ctx.Ctx.builder);
   }
 
-let create_gen ~heap ~rng ~label ~gen ~elements ?rx_slots ?buf_stride () =
-  create ~heap ~rng ~label
-    ~source:(Ppp_traffic.Source.of_gen ~name:label gen)
-    ~elements ?rx_slots ?buf_stride ()
-
 let label t = t.label
 let forwarded t = t.forwarded
 let dropped t = t.dropped
@@ -125,7 +118,7 @@ let source t (_now : int) =
   Ppp_hw.Trace.Builder.clear b;
   (* The fill happens before the NIC/driver trace is built: it only writes
      the preallocated packet's bytes, so ordering it ahead of [receive]
-     leaves the emitted traces bit-identical to the old generator path. *)
+     leaves the emitted trace unchanged. *)
   match Ppp_traffic.Source.fill t.src t.pkt with
   | Ppp_traffic.Source.Exhausted ->
       (* Empty input queue: the flow polls and finds nothing. *)

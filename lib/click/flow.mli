@@ -16,10 +16,6 @@
     The input queue is otherwise assumed always backlogged (the paper
     drives each flow at saturation to measure maximum throughput). *)
 
-type generator = Ppp_net.Packet.t -> unit
-(** Fills a preallocated packet in place with the next input packet — the
-    legacy closure shape, accepted via {!create_gen}. *)
-
 type t
 
 val create :
@@ -33,18 +29,6 @@ val create :
   unit ->
   t
 (** [rx_slots] (default 64) RX buffers of [buf_stride] (default 2048) bytes. *)
-
-val create_gen :
-  heap:Ppp_simmem.Heap.t ->
-  rng:Ppp_util.Rng.t ->
-  label:string ->
-  gen:generator ->
-  elements:Element.t list ->
-  ?rx_slots:int ->
-  ?buf_stride:int ->
-  unit ->
-  t
-(** Compatibility wrapper: [create] over [Ppp_traffic.Source.of_gen gen]. *)
 
 val source : t -> Ppp_hw.Engine.source
 val label : t -> string

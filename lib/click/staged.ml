@@ -16,7 +16,7 @@ type stage = {
 
 type t = {
   label : string;
-  gen : Flow.generator;
+  source : Ppp_traffic.Source.t;
   stages : stage array;
   queues : queue array;
   pool : Ppp_net.Packet.t array;
@@ -33,7 +33,7 @@ type t = {
 let stall_cycles = 120
 let header_bytes = 54
 
-let create ~heap ~rng ~label ~gen ~stages ?(queue_slots = 32) () =
+let create ~heap ~rng ~label ~source ~stages ?(queue_slots = 32) () =
   let n = List.length stages in
   if n < 2 then invalid_arg "Staged.create: need at least two stages";
   if queue_slots <= 0 then invalid_arg "Staged.create: queue_slots";
@@ -41,7 +41,7 @@ let create ~heap ~rng ~label ~gen ~stages ?(queue_slots = 32) () =
   let buf_stride = 2048 in
   {
     label;
-    gen;
+    source;
     stages =
       Array.of_list
         (List.mapi
@@ -102,7 +102,12 @@ let receive t ctx =
   let slot = t.seq mod t.rx_slots in
   let pkt = t.pool.(slot) in
   t.seq <- t.seq + 1;
-  t.gen pkt;
+  (match Ppp_traffic.Source.fill t.source pkt with
+  | Ppp_traffic.Source.Filled -> ()
+  | Ppp_traffic.Source.Exhausted ->
+      failwith
+        (Printf.sprintf "Staged %s: packet source %s exhausted" t.label
+           (Ppp_traffic.Source.name t.source)));
   pkt.Ppp_net.Packet.buf_addr <- t.buf_base + (slot * t.buf_stride);
   Builder.dma b (Iarray.addr_of t.rx_desc slot);
   let len = pkt.Ppp_net.Packet.len in

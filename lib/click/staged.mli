@@ -17,13 +17,16 @@ val create :
   heap:Ppp_simmem.Heap.t ->
   rng:Ppp_util.Rng.t ->
   label:string ->
-  gen:Flow.generator ->
+  source:Ppp_traffic.Source.t ->
   stages:Element.t list list ->
   ?queue_slots:int ->
   unit ->
   t
 (** [stages] must contain at least two stages (otherwise use {!Flow}).
-    [queue_slots] (default 32) is each inter-stage ring's capacity. *)
+    [queue_slots] (default 32) is each inter-stage ring's capacity. The
+    first stage fills each received packet from [source]; a pipeline
+    simulates saturated input, so a [source] that reports [Exhausted]
+    makes that stage fail with a message naming [label]. *)
 
 val num_stages : t -> int
 

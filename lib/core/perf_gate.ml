@@ -368,9 +368,9 @@ let target = Ppp_apps.App.IP
 let competitor = Ppp_apps.App.MON
 
 let run ?(quick = false) ?(runs = if quick then 1 else 3)
-    ?(batch = Runner.default_params.Runner.batch) () =
+    ?(batch = Runner.Params.default.Runner.batch) () =
   let params =
-    let p = { Runner.default_params with Runner.batch = batch } in
+    let p = { Runner.Params.default with Runner.batch = batch } in
     if quick then
       {
         p with

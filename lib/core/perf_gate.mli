@@ -87,7 +87,7 @@ val trajectory : trajectory_point list
 val run : ?quick:bool -> ?runs:int -> ?batch:int -> unit -> report
 (** [quick] quarters the warmup/measure windows and defaults [runs] to 1
     (CI smoke); the full gate defaults to best-of-3. [batch] sets the
-    engine burst budget (default {!Runner.default_params}'s); it changes
+    engine burst budget (default {!Runner.Params.default}'s); it changes
     only wall-clock, never simulation results. *)
 
 val to_json : report -> Ppp_telemetry.Json.t

@@ -10,47 +10,6 @@ let flow_on ?node ~core kind =
   in
   { kind; core; data_node }
 
-type classifier = Tss | Range | All_backends
-
-let classifier_name = function
-  | Tss -> "tss"
-  | Range -> "range"
-  | All_backends -> "all"
-
-let classifier_of_name = function
-  | "tss" -> Some Tss
-  | "range" -> Some Range
-  | "all" -> Some All_backends
-  | _ -> None
-
-type traffic_model = Heavy_tail | Onoff | Churn | All_models
-
-let traffic_name = function
-  | Heavy_tail -> "heavy"
-  | Onoff -> "onoff"
-  | Churn -> "churn"
-  | All_models -> "all"
-
-let traffic_of_name = function
-  | "heavy" | "heavy_tail" | "heavy-tail" -> Some Heavy_tail
-  | "onoff" | "on-off" -> Some Onoff
-  | "churn" -> Some Churn
-  | "all" -> Some All_models
-  | _ -> None
-
-type steering = Rss | Flow_director | Both_steerings
-
-let steering_name = function
-  | Rss -> "rss"
-  | Flow_director -> "fdir"
-  | Both_steerings -> "all"
-
-let steering_of_name = function
-  | "rss" -> Some Rss
-  | "fdir" | "flow-director" | "flow_director" -> Some Flow_director
-  | "all" -> Some Both_steerings
-  | _ -> None
-
 type params = {
   config : Ppp_hw.Machine.config;
   seed : int;
@@ -58,45 +17,31 @@ type params = {
   measure_cycles : int;
   batch : int;
   cell : string;
-  classifier : classifier;
-  traffic : traffic_model;
-  steering : steering;
   profile : bool;
 }
-
-let default_params =
-  {
-    config = Ppp_hw.Machine.scaled;
-    seed = 42;
-    warmup_cycles = 3_000_000;
-    measure_cycles = 10_000_000;
-    batch = 32;
-    cell = "";
-    classifier = All_backends;
-    traffic = All_models;
-    steering = Both_steerings;
-    profile = false;
-  }
-
-let quick_params =
-  {
-    config = Ppp_hw.Machine.tiny;
-    seed = 42;
-    warmup_cycles = 300_000;
-    measure_cycles = 1_000_000;
-    batch = 32;
-    cell = "";
-    classifier = All_backends;
-    traffic = All_models;
-    steering = Both_steerings;
-    profile = false;
-  }
 
 module Params = struct
   type t = params
 
-  let default = default_params
-  let quick = quick_params
+  let default =
+    {
+      config = Ppp_hw.Machine.scaled;
+      seed = 42;
+      warmup_cycles = 3_000_000;
+      measure_cycles = 10_000_000;
+      batch = 32;
+      cell = "";
+      profile = false;
+    }
+
+  let quick =
+    {
+      default with
+      config = Ppp_hw.Machine.tiny;
+      warmup_cycles = 300_000;
+      measure_cycles = 1_000_000;
+    }
+
   let with_config config p = { p with config }
   let with_seed seed p = { p with seed }
 
@@ -104,10 +49,6 @@ module Params = struct
     { p with warmup_cycles = warmup; measure_cycles = measure }
 
   let with_batch batch p = { p with batch }
-  let with_cell cell p = { p with cell }
-  let with_classifier classifier p = { p with classifier }
-  let with_traffic traffic p = { p with traffic }
-  let with_steering steering p = { p with steering }
   let with_profile profile p = { p with profile }
 end
 
@@ -400,7 +341,7 @@ let report ~cat params specs t_wall series =
           ];
       }
 
-let run ?(params = default_params) ?probe ?wrap specs =
+let run ?(params = Params.default) ?probe ?wrap specs =
   check_specs params.config specs;
   let t_wall = Ppp_telemetry.Span.now_s () in
   (* Observed, perturbed or profiled runs always simulate. *)
@@ -446,7 +387,7 @@ let cell_params params label =
 
 let with_cell params label = { params with cell = label }
 
-let solo ?(params = default_params) kind =
+let solo ?(params = Params.default) kind =
   (* A pure function of (params, kind): the seed is derived from the kind's
      name, so a solo baseline computed anywhere — any experiment, any cell
      order, any job count — is the same simulation. *)

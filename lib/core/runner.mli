@@ -18,30 +18,6 @@ type spec = {
 val flow_on : ?node:int -> core:int -> Ppp_apps.App.kind -> spec
 (** [flow_on ~core kind] places data locally; [?node] overrides. *)
 
-type classifier = Tss | Range | All_backends
-(** Slow-path backend selection for the [classifier] experiment. *)
-
-val classifier_name : classifier -> string
-(** ["tss"] / ["range"] / ["all"]. *)
-
-val classifier_of_name : string -> classifier option
-
-type traffic_model = Heavy_tail | Onoff | Churn | All_models
-(** Source-model selection for the [traffic] experiment. *)
-
-val traffic_name : traffic_model -> string
-(** ["heavy"] / ["onoff"] / ["churn"] / ["all"]. *)
-
-val traffic_of_name : string -> traffic_model option
-
-type steering = Rss | Flow_director | Both_steerings
-(** NIC steering-model selection for the [traffic] experiment. *)
-
-val steering_name : steering -> string
-(** ["rss"] / ["fdir"] / ["all"]. *)
-
-val steering_of_name : string -> steering option
-
 type params = {
   config : Ppp_hw.Machine.config;
   seed : int;
@@ -55,15 +31,6 @@ type params = {
       (** Telemetry label of the experiment cell this run belongs to
           (e.g. "pair/IP/MON"); "" for unlabeled ad-hoc runs. Only consumed
           by the telemetry layer — it never influences the simulation. *)
-  classifier : classifier;
-      (** Backend selection for the [classifier] experiment. Only that
-          experiment reads it; every other experiment ignores the field. *)
-  traffic : traffic_model;
-      (** Source-model selection for the [traffic] experiment; ignored by
-          every other experiment. *)
-  steering : steering;
-      (** Steering-model selection for the [traffic] experiment; ignored by
-          every other experiment. *)
   profile : bool;
       (** When true, the run attributes cycles / instructions / L3 events /
           latency to (core, element) and records the per-element profile
@@ -71,22 +38,21 @@ type params = {
           observation: results are byte-identical with it on or off. *)
 }
 
-val default_params : params
-(** scaled machine, seed 42, 3M cycles warmup, 10M measured, batch 32. *)
-
-val quick_params : params
-(** Shorter window for tests. *)
-
 (** Builder-style construction: pipe {!Params.default} (or
     {!Params.quick}) through [with_*] setters instead of writing the
     record literal, so adding a knob never breaks existing call sites:
 
-    {[ Runner.Params.(default |> with_batch 8 |> with_classifier Tss) ]} *)
+    {[ Runner.Params.(default |> with_batch 8 |> with_profile true) ]} *)
 module Params : sig
   type t = params
 
   val default : t
+  (** scaled machine, seed 42, 3M cycles warmup, 10M measured, batch 32. *)
+
   val quick : t
+  (** [default] on the tiny machine with 0.3M / 1M cycle windows: the
+      shorter window the tests use. *)
+
   val with_config : Ppp_hw.Machine.config -> t -> t
   val with_seed : int -> t -> t
 
@@ -94,10 +60,6 @@ module Params : sig
   (** Warmup / measurement window lengths, in cycles. *)
 
   val with_batch : int -> t -> t
-  val with_cell : string -> t -> t
-  val with_classifier : classifier -> t -> t
-  val with_traffic : traffic_model -> t -> t
-  val with_steering : steering -> t -> t
   val with_profile : bool -> t -> t
 end
 

@@ -73,7 +73,7 @@ type evaluation = {
   per_flow : (Ppp_apps.App.kind * float) list;
 }
 
-let evaluate ?(params = Runner.default_params) ?(solo = []) combo =
+let evaluate ?(params = Runner.Params.default) ?(solo = []) combo =
   let config = params.Runner.config in
   let cps = Ppp_hw.Machine.cores_per_socket config in
   (* Resolve every solo baseline up front (in parallel for the missing

@@ -55,7 +55,7 @@ type curve = {
   points : point list;
 }
 
-let measure ?(params = Runner.default_params) ?(levels = default_syn_levels)
+let measure ?(params = Runner.Params.default) ?(levels = default_syn_levels)
     ?n_competitors ~resource target =
   let n_competitors =
     match n_competitors with

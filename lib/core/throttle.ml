@@ -71,9 +71,11 @@ module Two_faced = struct
           Ppp_click.Element.Forward);
     ]
 
-  let gen pkt =
-    Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
-      ~sport:1000 ~dport:2000 ~wire_len:64
-
-  let source () = Ppp_traffic.Source.of_gen ~name:"two-faced" gen
+  let source () =
+    Ppp_traffic.Source.make ~name:"two-faced"
+      ~fill:(fun _ pkt ->
+        Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
+          ~sport:1000 ~dport:2000 ~wire_len:64;
+        Ppp_traffic.Source.Filled)
+      ()
 end

@@ -40,8 +40,6 @@ module Two_faced : sig
     switch_after:int ->
     Ppp_click.Element.t list
 
-  val gen : Ppp_click.Flow.generator
-
   val source : unit -> Ppp_traffic.Source.t
-  (** [gen] wrapped as a fresh single-flow {!Ppp_traffic.Source.t}. *)
+  (** A fresh single-flow source of constant 64-byte UDP packets. *)
 end

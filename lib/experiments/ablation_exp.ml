@@ -129,7 +129,7 @@ let measure_mlp ~params =
       { mlp; competing_refs_per_sec = competing; mon_drop_mlp = drop })
     [ 1; 2; 4 ]
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   {
     bounds = measure_bounds ~params;
     delta_sweep = measure_delta_sweep ~params;

@@ -14,12 +14,6 @@ type cell = {
 
 type data = { cells : cell list }
 
-let backends ~(params : Runner.params) =
-  match params.Runner.classifier with
-  | Runner.All_backends -> Ppp_classify.Classifier.all
-  | Runner.Tss -> [ Ppp_classify.Classifier.Tss ]
-  | Runner.Range -> [ Ppp_classify.Classifier.Range ]
-
 (* Rule-set sizes and skews of the sweep. Sizes scale down with the machine
    like every other working set in the repo so the tiny config stays fast. *)
 let rule_sizes scale = [ max 16 (1024 / scale); max 64 (8192 / scale) ]
@@ -127,7 +121,7 @@ let run_one ~(params : Runner.params) ~backend ~nrules ~skew ~contended =
   in
   (List.hd results, fp)
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let scale = params.Runner.config.Ppp_hw.Machine.scale in
   let cells =
     List.concat_map
@@ -136,7 +130,7 @@ let measure ?(params = Runner.default_params) () =
           (fun nrules ->
             List.map (fun skew -> (backend, nrules, skew)) skews)
           (rule_sizes scale))
-      (backends ~params)
+      Ppp_classify.Classifier.all
   in
   let cell (backend, nrules, skew) =
     let bname = Ppp_classify.Classifier.kind_name backend in

@@ -22,10 +22,6 @@ type cell = {
 
 type data = { cells : cell list }
 
-val backends : params:Ppp_core.Runner.params -> Ppp_classify.Classifier.kind list
-(** The backends selected by [params.classifier] ("tss" | "range" | "all");
-    raises [Invalid_argument] on anything else. *)
-
 val measure : ?params:Ppp_core.Runner.params -> unit -> data
 val render : data -> string
 val data_json : data -> Output.Json.t

@@ -32,7 +32,7 @@ let default_combos ~config =
         [ syn_max; FW ];
       ]
 
-let measure ?(params = Runner.default_params) ?combos () =
+let measure ?(params = Runner.Params.default) ?combos () =
   let config = params.Runner.config in
   let combos =
     match combos with Some c -> c | None -> default_combos ~config

@@ -25,7 +25,7 @@ let overall_hits_per_packet (r : Ppp_hw.Engine.result) =
 
 let conversion ~solo ~corun = if solo <= 0.0 then 0.0 else Float.max 0.0 (1.0 -. (corun /. solo))
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let target = Ppp_apps.App.MON in
   let solo = Runner.solo ~params target in
   let config = params.Runner.config in

@@ -114,7 +114,7 @@ let run_one ~params ~cached ~with_competitors =
   in
   (pps, hit_rate)
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let cell scenario with_competitors =
     let plain, _ = run_one ~params ~cached:false ~with_competitors in
     let cached, hit_rate = run_one ~params ~cached:true ~with_competitors in

@@ -44,7 +44,7 @@ let mk_sources ~params =
      between every two firewall packets. *)
   (mk Ppp_apps.App.DPI, mk Ppp_apps.App.FW)
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let config = params.Runner.config in
   let run flows =
     Ppp_hw.Engine.run (Ppp_hw.Machine.build config) ~flows

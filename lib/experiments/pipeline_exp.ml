@@ -82,7 +82,7 @@ let run_pipeline ~params ~cores ~mk_staged =
   Ppp_hw.Engine.run hier ~flows ~warmup_cycles:params.Runner.warmup_cycles
     ~measure_cycles:params.Runner.measure_cycles
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let config = params.Runner.config in
   let scale = config.Ppp_hw.Machine.scale in
   let l3 = Ppp_hw.Machine.l3_bytes config in
@@ -102,7 +102,7 @@ let measure ?(params = Runner.default_params) () =
       | [] -> assert false
     in
     Ppp_click.Staged.create ~heap:heaps.(0) ~rng ~label:"IP-pipe"
-      ~gen:(Ppp_traffic.Source.to_gen b.Ppp_apps.App.source)
+      ~source:b.Ppp_apps.App.source
       ~stages:[ stage0; stage1 ] ()
   in
   let ip_pipe =
@@ -115,17 +115,21 @@ let measure ?(params = Runner.default_params) () =
      caches, each stage handling its half. *)
   let reads_total = 200 in
   let syn_buffer = 2 * l3 in
+  let syn_source () =
+    Ppp_traffic.Source.make ~name:"syn"
+      ~fill:(fun _ pkt ->
+        Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
+          ~sport:7 ~dport:7 ~wire_len:64;
+        Ppp_traffic.Source.Filled)
+      ()
+  in
   let mk_syn_flow ~heap ~rng =
     let syn =
       Ppp_apps.More_elements.Syn.create ~heap ~rng ~buffer_bytes:syn_buffer
         ~reads_per_packet:reads_total ~instrs_per_packet:100
     in
-    let gen pkt =
-      Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
-        ~sport:7 ~dport:7 ~wire_len:64
-    in
     Ppp_click.Flow.source
-      (Ppp_click.Flow.create_gen ~heap ~rng ~label:"SYN2x" ~gen
+      (Ppp_click.Flow.create ~heap ~rng ~label:"SYN2x" ~source:(syn_source ())
          ~elements:[ Ppp_apps.More_elements.Syn.element syn ] ())
   in
   let syn_par =
@@ -139,11 +143,8 @@ let measure ?(params = Runner.default_params) () =
         ~buffer_bytes:(l3 * 9 / 10) ~reads_per_packet:(reads_total / 2)
         ~instrs_per_packet:50
     in
-    let gen pkt =
-      Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
-        ~sport:7 ~dport:7 ~wire_len:64
-    in
-    Ppp_click.Staged.create ~heap:heaps.(0) ~rng ~label:"SYN-pipe" ~gen
+    Ppp_click.Staged.create ~heap:heaps.(0) ~rng ~label:"SYN-pipe"
+      ~source:(syn_source ())
       ~stages:
         [
           [ Ppp_apps.More_elements.Syn.element (half 0) ];

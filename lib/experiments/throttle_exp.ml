@@ -58,7 +58,7 @@ let run_scenario ~params ~switch_after ~throttle_budget =
     ~measure_cycles:params.Runner.measure_cycles
 
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let never = max_int in
   let solo = Runner.solo ~params Ppp_apps.App.MON in
   let tame = run_scenario ~params ~switch_after:never ~throttle_budget:None in

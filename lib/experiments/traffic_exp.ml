@@ -78,21 +78,10 @@ let curve_levels =
     (fun (reads, instrs) -> { Ppp_apps.App.reads; instrs })
     [ (2, 80_000); (16, 6_000); (32, 1_200); (64, 400); (256, 0) ]
 
-let models_of_params (params : Runner.params) =
-  let all = [ Heavy 1.9; Heavy 1.1; Onoff 32; Onoff 512; Churn 64; Churn 8 ] in
-  match params.Runner.traffic with
-  | Runner.All_models -> all
-  | Runner.Heavy_tail ->
-      List.filter (function Heavy _ -> true | _ -> false) all
-  | Runner.Onoff -> List.filter (function Onoff _ -> true | _ -> false) all
-  | Runner.Churn -> List.filter (function Churn _ -> true | _ -> false) all
+let models = [ Heavy 1.9; Heavy 1.1; Onoff 32; Onoff 512; Churn 64; Churn 8 ]
 
-let steerings_of_params (params : Runner.params) =
-  match params.Runner.steering with
-  | Runner.Both_steerings ->
-      [ Ppp_traffic.Steering.Rss; Ppp_traffic.Steering.Flow_director ]
-  | Runner.Rss -> [ Ppp_traffic.Steering.Rss ]
-  | Runner.Flow_director -> [ Ppp_traffic.Steering.Flow_director ]
+let steerings =
+  [ Ppp_traffic.Steering.Rss; Ppp_traffic.Steering.Flow_director ]
 
 let uniform_source ~rng ~flows =
   let seqs = Array.make flows 0 in
@@ -330,14 +319,14 @@ let run_cell ~(params : Runner.params) ~curve
     };
   c
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let twin_solo, curve = stationary_curve ~params in
   let syn_solo = Profile.solo ~params Ppp_apps.App.syn_max in
   let cells =
     List.concat_map
       (fun cfg ->
-        List.map (fun steering -> (cfg, steering)) (steerings_of_params params))
-      (models_of_params params)
+        List.map (fun steering -> (cfg, steering)) steerings)
+      models
   in
   {
     twin_solo_pps = twin_solo.Ppp_hw.Engine.throughput_pps;

@@ -28,5 +28,4 @@ val replay : ?loop:bool -> ?name:string -> t -> Source.t
     for the [Failure] the closure API used to raise). Flow identity is a
     hash of each packet's header bytes, with per-flow sequence numbers
     assigned in capture order. Raises [Invalid_argument] on an empty
-    capture; call sites that still want a bare closure can use
-    {!Source.to_gen}. *)
+    capture. *)

@@ -42,7 +42,7 @@ let oracle (rules : Rule.t array) f =
 (* --- qcheck generators --- *)
 
 let plen_gen = QCheck.Gen.oneofl [ 0; 8; 16; 24; 32 ]
-let proto_gen = QCheck.Gen.oneofl [ 0; 6; 17 ]
+let protocol_gen = QCheck.Gen.oneofl [ 0; 6; 17 ]
 let addr_gen = QCheck.Gen.(map (fun x -> x land 0xFFFFFFFF) (int_bound max_int))
 
 let port_range_gen =
@@ -75,7 +75,7 @@ let rule_gen =
         })
       (pair
          (quad (int_bound 7) addr_gen plen_gen addr_gen)
-         (tup5 plen_gen port_range_gen port_range_gen proto_gen
+         (tup5 plen_gen port_range_gen port_range_gen protocol_gen
             (int_range 0 255))))
 
 let rules_gen = QCheck.Gen.(array_size (int_range 1 40) rule_gen)
@@ -106,7 +106,7 @@ let uniform_flowid_gen =
     map
       (fun (src, dst, sport, dport, proto) ->
         { Ppp_net.Flowid.src; dst; sport; dport; proto })
-      (tup5 addr_gen addr_gen (int_bound 0xFFFF) (int_bound 0xFFFF) proto_gen))
+      (tup5 addr_gen addr_gen (int_bound 0xFFFF) (int_bound 0xFFFF) protocol_gen))
 
 let scenario_gen =
   QCheck.Gen.(

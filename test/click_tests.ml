@@ -54,14 +54,19 @@ let test_ctx_touch_unplaced_packet_noop () =
 
 (* --- Flow --- *)
 
-let simple_gen pkt =
-  Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002 ~sport:1
-    ~dport:2 ~wire_len:64
+let simple_source () =
+  Ppp_traffic.Source.make ~name:"simple"
+    ~fill:(fun _ pkt ->
+      Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
+        ~sport:1 ~dport:2 ~wire_len:64;
+      Ppp_traffic.Source.Filled)
+    ()
 
 let test_flow_produces_packet_traces () =
   let hits = ref 0 in
   let flow =
-    Flow.create_gen ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~gen:simple_gen
+    Flow.create ~heap:(heap ()) ~rng:(rng ()) ~label:"t"
+      ~source:(simple_source ())
       ~elements:[ counting_element "c" hits ] ()
   in
   let source = Flow.source flow in
@@ -78,7 +83,8 @@ let test_flow_produces_packet_traces () =
 
 let test_flow_counts_drops () =
   let flow =
-    Flow.create_gen ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~gen:simple_gen
+    Flow.create ~heap:(heap ()) ~rng:(rng ()) ~label:"t"
+      ~source:(simple_source ())
       ~elements:[ dropping_element () ] ()
   in
   let source = Flow.source flow in
@@ -89,7 +95,8 @@ let test_flow_counts_drops () =
 
 let test_flow_buffer_rotation () =
   let flow =
-    Flow.create_gen ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~gen:simple_gen
+    Flow.create ~heap:(heap ()) ~rng:(rng ()) ~label:"t"
+      ~source:(simple_source ())
       ~elements:[] ~rx_slots:4 ()
   in
   let source = Flow.source flow in
@@ -116,13 +123,14 @@ let test_staged_requires_two_stages () =
   Alcotest.check_raises "one stage"
     (Invalid_argument "Staged.create: need at least two stages") (fun () ->
       ignore
-        (Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s" ~gen:simple_gen
-           ~stages:[ [] ] ()))
+        (Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s"
+           ~source:(simple_source ()) ~stages:[ [] ] ()))
 
 let test_staged_pipeline_flows_packets () =
   let seen0 = ref 0 and seen1 = ref 0 in
   let staged =
-    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s" ~gen:simple_gen
+    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s"
+      ~source:(simple_source ())
       ~stages:
         [ [ counting_element "s0" seen0 ]; [ counting_element "s1" seen1 ] ]
       ~queue_slots:4 ()
@@ -144,7 +152,8 @@ let test_staged_pipeline_flows_packets () =
 
 let test_staged_backpressure () =
   let staged =
-    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s" ~gen:simple_gen
+    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s"
+      ~source:(simple_source ())
       ~stages:[ []; [] ] ~queue_slots:2 ()
   in
   let sources = Staged.sources staged in
@@ -155,6 +164,32 @@ let test_staged_backpressure () =
   | Ppp_hw.Engine.Idle _ -> ()
   | Ppp_hw.Engine.Packet _ | Ppp_hw.Engine.Reordered _ ->
       Alcotest.fail "expected backpressure"
+
+let test_staged_exhausted_source_fails () =
+  let cap = Ppp_traffic.Pcap.create () in
+  let p = Ppp_net.Packet.create 64 in
+  for sport = 1 to 3 do
+    Ppp_traffic.Gen.fill_ipv4_udp p ~src:0x0A000001 ~dst:0x0A000002 ~sport
+      ~dport:2 ~wire_len:64;
+    Ppp_traffic.Pcap.append cap p
+  done;
+  let staged =
+    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"replay-pipe"
+      ~source:(Ppp_traffic.Pcap.replay ~loop:false cap)
+      ~stages:[ []; [] ] ()
+  in
+  let sources = Staged.sources staged in
+  for i = 0 to 2 do
+    ignore (sources.(0) (2 * i));
+    ignore (sources.(1) ((2 * i) + 1))
+  done;
+  Alcotest.(check int) "every captured packet egresses" 3
+    (Staged.forwarded staged);
+  (* A pipeline models saturated input: running dry is an error that names
+     the pipeline, not a silent idle. *)
+  Alcotest.check_raises "fourth receive fails"
+    (Failure "Staged replay-pipe: packet source pcap exhausted") (fun () ->
+      ignore (sources.(0) 6))
 
 (* --- Config parser --- *)
 
@@ -249,6 +284,8 @@ let tests =
     Alcotest.test_case "staged needs two stages" `Quick test_staged_requires_two_stages;
     Alcotest.test_case "staged pipeline flow" `Quick test_staged_pipeline_flows_packets;
     Alcotest.test_case "staged backpressure" `Quick test_staged_backpressure;
+    Alcotest.test_case "staged exhausted source fails" `Quick
+      test_staged_exhausted_source_fails;
     Alcotest.test_case "config parse simple" `Quick test_config_parse_simple;
     Alcotest.test_case "config args + comments" `Quick test_config_parse_multi_args_and_comments;
     Alcotest.test_case "config parse errors" `Quick test_config_parse_errors;

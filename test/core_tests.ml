@@ -1,6 +1,6 @@
 open Ppp_core
 
-let quick = Runner.quick_params
+let quick = Runner.Params.quick
 
 (* --- Equation 1 --- *)
 

@@ -314,13 +314,16 @@ let test_pcap_replay_cycles () =
   Ppp_traffic.Pcap.append cap (mk_pkt 64 1);
   Ppp_traffic.Pcap.append cap (mk_pkt 96 2);
   let src = Ppp_traffic.Pcap.replay cap in
-  let gen = Ppp_traffic.Source.to_gen src in
   let p = Ppp_net.Packet.create ~cap:2048 60 in
-  gen p;
+  let fill () =
+    Alcotest.(check bool) "filled" true
+      (Ppp_traffic.Source.fill src p = Ppp_traffic.Source.Filled)
+  in
+  fill ();
   Alcotest.(check int) "first" 64 p.Ppp_net.Packet.len;
-  gen p;
+  fill ();
   Alcotest.(check int) "second" 96 p.Ppp_net.Packet.len;
-  gen p;
+  fill ();
   Alcotest.(check int) "loops" 64 p.Ppp_net.Packet.len;
   Alcotest.(check int) "packets counted" 3 (Ppp_traffic.Source.packets src)
 
@@ -365,27 +368,6 @@ let test_multiplex_rejects_empty () =
     (fun () ->
       ignore (Ppp_click.Multiplex.round_robin [] : Ppp_hw.Engine.source))
 
-(* --- Utility elements --- *)
-
-let test_counter_element () =
-  let el, state = Ppp_click.Util_elements.counter ~heap:(heap ()) () in
-  let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:2) in
-  let pkt = mk_pkt 100 1 in
-  ignore (el.Ppp_click.Element.process ctx pkt);
-  ignore (el.Ppp_click.Element.process ctx pkt);
-  Alcotest.(check int) "packets" 2 state.Ppp_click.Util_elements.packets;
-  Alcotest.(check int) "bytes" 200 state.Ppp_click.Util_elements.bytes
-
-let test_rated_sampler () =
-  let el = Ppp_click.Util_elements.rated_sampler ~every:3 in
-  let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:2) in
-  let pkt = mk_pkt 64 1 in
-  let verdicts = List.init 6 (fun _ -> el.Ppp_click.Element.process ctx pkt) in
-  let forwards =
-    List.length (List.filter (fun v -> v = Ppp_click.Element.Forward) verdicts)
-  in
-  Alcotest.(check int) "1 in 3 forwarded" 2 forwards
-
 (* --- DPI app kind integration --- *)
 
 let test_dpi_app_kind () =
@@ -395,7 +377,7 @@ let test_dpi_app_kind () =
       ~rng:(Ppp_util.Rng.create ~seed:3) ~scale:128
   in
   Alcotest.(check bool) "has elements" true (List.length b.Ppp_apps.App.elements >= 5);
-  let r = Ppp_core.Runner.solo ~params:Ppp_core.Runner.quick_params Ppp_apps.App.DPI in
+  let r = Ppp_core.Runner.solo ~params:Ppp_core.Runner.Params.quick Ppp_apps.App.DPI in
   Alcotest.(check bool) "runs" true (r.Ppp_hw.Engine.throughput_pps > 0.0)
 
 (* --- multiflow experiment --- *)
@@ -403,7 +385,7 @@ let test_dpi_app_kind () =
 let test_multiflow_escalation () =
   let params =
     {
-      Ppp_core.Runner.default_params with
+      Ppp_core.Runner.Params.default with
       Ppp_core.Runner.warmup_cycles = 400_000;
       measure_cycles = 1_200_000;
     }
@@ -446,8 +428,6 @@ let tests =
     Alcotest.test_case "multiplex round robin" `Quick test_multiplex_round_robin_order;
     Alcotest.test_case "multiplex weighted" `Quick test_multiplex_weighted;
     Alcotest.test_case "multiplex rejects empty" `Quick test_multiplex_rejects_empty;
-    Alcotest.test_case "counter element" `Quick test_counter_element;
-    Alcotest.test_case "rated sampler" `Quick test_rated_sampler;
     Alcotest.test_case "DPI app kind" `Quick test_dpi_app_kind;
     Alcotest.test_case "multiflow escalation" `Slow test_multiflow_escalation;
   ]
@@ -611,7 +591,7 @@ let test_greedy_near_best_placement () =
   (* The greedy heuristic's placement must come close to the exhaustive
      best (the paper's point: placements barely differ, so a heuristic is
      as good as a search). *)
-  let params = Ppp_core.Runner.quick_params in
+  let params = Ppp_core.Runner.Params.quick in
   let combo = [ (Ppp_apps.App.MON, 2); (Ppp_apps.App.FW, 2) ] in
   let evals = Ppp_core.Scheduler.evaluate ~params combo in
   let best = Ppp_core.Scheduler.best evals in
@@ -637,7 +617,7 @@ let test_greedy_near_best_placement () =
 (* --- predict_mix --- *)
 
 let test_predict_mix_consistency () =
-  let params = Ppp_core.Runner.quick_params in
+  let params = Ppp_core.Runner.Params.quick in
   let levels = [ { Ppp_apps.App.reads = 8; instrs = 1000 } ] in
   let p =
     Ppp_core.Predictor.build ~params ~levels ~targets:[ Ppp_apps.App.FW ] ()
@@ -672,17 +652,6 @@ let test_ibuf_of_region () =
   Ppp_simmem.Ibuf.touch_read buf b ~fn ~pos:0 ~len:256;
   Alcotest.(check int) "4 lines" 4 (Ppp_hw.Trace.Builder.length b)
 
-let test_tee_counter_callback () =
-  let seen = ref [] in
-  let el =
-    Ppp_click.Util_elements.tee_counter ~label:"t" (fun l n -> seen := (l, n) :: !seen)
-  in
-  let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:1) in
-  let pkt = mk_pkt 90 1 in
-  Alcotest.(check bool) "forwards" true
-    (el.Ppp_click.Element.process ctx pkt = Ppp_click.Element.Forward);
-  Alcotest.(check (list (pair string int))) "callback" [ ("t", 90) ] !seen
-
 let test_histogram_clear () =
   let h = Ppp_util.Histogram.create () in
   Ppp_util.Histogram.record h 42;
@@ -706,12 +675,7 @@ let test_pcap_no_loop_exhausts () =
   Alcotest.(check bool) "second fill exhausted" true
     (Ppp_traffic.Source.fill src p = Ppp_traffic.Source.Exhausted);
   Alcotest.(check bool) "sticky" true
-    (Ppp_traffic.Source.fill src p = Ppp_traffic.Source.Exhausted);
-  (* The closure compatibility wrapper converts the typed status back into
-     an exception for legacy call sites. *)
-  Alcotest.check_raises "to_gen raises"
-    (Ppp_traffic.Source.Exhausted_source "pcap") (fun () ->
-      Ppp_traffic.Source.to_gen src p)
+    (Ppp_traffic.Source.fill src p = Ppp_traffic.Source.Exhausted)
 
 let test_series_map_y () =
   let s = Ppp_util.Series.of_points [ (0.0, 1.0); (2.0, 3.0) ] in
@@ -754,7 +718,6 @@ let tests =
   tests
   @ [
       Alcotest.test_case "ibuf of_region" `Quick test_ibuf_of_region;
-      Alcotest.test_case "tee counter" `Quick test_tee_counter_callback;
       Alcotest.test_case "histogram clear" `Quick test_histogram_clear;
       Alcotest.test_case "pcap empty replay" `Quick test_pcap_empty_replay_rejected;
       Alcotest.test_case "pcap no-loop exhausts" `Quick test_pcap_no_loop_exhausts;

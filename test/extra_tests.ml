@@ -60,11 +60,16 @@ let test_re_element_shrinks_packets () =
 
 let test_staged_drop_path () =
   let dropper = Ppp_click.Element.make ~kind:"D" (fun _ _ -> Ppp_click.Element.Drop) in
-  let gen pkt =
-    Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:1 ~dst:2 ~sport:3 ~dport:4 ~wire_len:64
+  let source =
+    Ppp_traffic.Source.make
+      ~fill:(fun _ pkt ->
+        Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:1 ~dst:2 ~sport:3 ~dport:4
+          ~wire_len:64;
+        Ppp_traffic.Source.Filled)
+      ()
   in
   let staged =
-    Ppp_click.Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s" ~gen
+    Ppp_click.Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s" ~source
       ~stages:[ []; [ dropper ] ] ()
   in
   let sources = Ppp_click.Staged.sources staged in
@@ -102,7 +107,7 @@ let test_registry_bad_args () =
 let test_cross_socket_flows_isolated () =
   (* Two MON flows on different sockets with local data barely affect each
      other (compare against same-socket placement). *)
-  let params = Ppp_core.Runner.quick_params in
+  let params = Ppp_core.Runner.Params.quick in
   let same =
     Ppp_core.Runner.run ~params
       [
@@ -220,7 +225,7 @@ let test_profile_orderings_scaled () =
   (* The Table 1 orderings the paper's analysis rests on, at real windows
      (slow test): MON has the most hits/sec, FW the least among realistic;
      RE has the most refs/packet. *)
-  let params = Ppp_core.Runner.default_params in
+  let params = Ppp_core.Runner.Params.default in
   let p k = Ppp_core.Profile.solo ~params k in
   let ip = p Ppp_apps.App.IP and mon = p Ppp_apps.App.MON in
   let fw = p Ppp_apps.App.FW and re = p Ppp_apps.App.RE in

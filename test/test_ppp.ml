@@ -22,4 +22,5 @@ let () =
       ("monitor", Monitor_tests.tests);
       ("extras", Extra_tests.tests);
       ("extensions", Ext_tests.tests);
+      ("cli", Cli_tests.tests);
     ]
