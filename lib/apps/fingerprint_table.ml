@@ -21,4 +21,4 @@ let insert t b ~fn ~fp ~off =
 let lookup t b ~fn ~fp =
   let v = Iarray.get t.slots b ~fn (index t fp) in
   let off = (v land ((1 lsl 40) - 1)) - 1 in
-  if off >= 0 && v lsr 40 = tag_of fp then Some off else None
+  if off >= 0 && v lsr 40 = tag_of fp then off else -1

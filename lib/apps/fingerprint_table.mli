@@ -15,5 +15,7 @@ val insert :
 (** Record that content with fingerprint [fp] lives at store offset [off]. *)
 
 val lookup :
-  t -> Ppp_hw.Trace.Builder.t -> fn:Ppp_hw.Fn.t -> fp:int -> int option
-(** The store offset last recorded for [fp], if the slot's tag matches. *)
+  t -> Ppp_hw.Trace.Builder.t -> fn:Ppp_hw.Fn.t -> fp:int -> int
+(** The store offset last recorded for [fp] if the slot's tag matches, else
+    [-1] (offsets are non-negative; a sentinel rather than an option keeps
+    the per-match lookup allocation-free). *)

@@ -99,16 +99,17 @@ let find_matches t builder ~fn b ~pos ~len =
     let matched =
       if sampled t fp then begin
         Ppp_hw.Trace.Builder.compute builder ~fn 20;
-        match Fingerprint_table.lookup t.table builder ~fn ~fp with
-        | None -> 0
-        | Some off ->
-            let max_len = min (stop - !i) max_match in
-            let m = match_length t builder ~fn ~off b ~i:!i ~max_len in
-            if m >= window then begin
-              matches := (!i, off, m) :: !matches;
-              m
-            end
-            else 0
+        let off = Fingerprint_table.lookup t.table builder ~fn ~fp in
+        if off < 0 then 0
+        else begin
+          let max_len = min (stop - !i) max_match in
+          let m = match_length t builder ~fn ~off b ~i:!i ~max_len in
+          if m >= window then begin
+            matches := (!i, off, m) :: !matches;
+            m
+          end
+          else 0
+        end
       end
       else 0
     in

@@ -12,6 +12,12 @@ type stage = {
   elements : Element.t list;
   ctx : Ctx.t;
   index : int;
+  packet : Ppp_hw.Engine.item;
+  idle : Ppp_hw.Engine.item;
+      (* [Packet] and [Idle] over the stage builder's pooled view, built
+         once: the engine replays a stage's trace to completion before
+         calling that stage again, so (as in [Flow]) every item the stage
+         returns can share its builder's buffer. *)
 }
 
 type t = {
@@ -46,7 +52,15 @@ let create ~heap ~rng ~label ~source ~stages ?(queue_slots = 32) () =
       Array.of_list
         (List.mapi
            (fun index elements ->
-             { elements; ctx = Ctx.create ~rng:(Ppp_util.Rng.split rng); index })
+             let ctx = Ctx.create ~rng:(Ppp_util.Rng.split rng) in
+             let view () = Ppp_hw.Trace.Builder.view ctx.Ctx.builder in
+             {
+               elements;
+               ctx;
+               index;
+               packet = Ppp_hw.Engine.Packet (view ());
+               idle = Ppp_hw.Engine.Idle (view ());
+             })
            stages);
     queues =
       Array.init (n - 1) (fun _ ->
@@ -74,16 +88,15 @@ let dropped t = t.dropped
 
 let queue_full q = Queue.length q.fifo >= q.slots
 
-let push_queue t q ctx pkt =
+let push_queue q ctx pkt =
   Ctx.set_elem ctx Flow.eid_to_device;
   let slot = q.pushed mod q.slots in
   q.pushed <- q.pushed + 1;
   Iarray.set q.ring ctx.Ctx.builder ~fn:Flow.fn_to_device slot
     pkt.Ppp_net.Packet.buf_addr;
-  Queue.push pkt q.fifo;
-  ignore t
+  Queue.push pkt q.fifo
 
-let pop_queue t q ctx =
+let pop_queue q ctx =
   Ctx.set_elem ctx Flow.eid_from_device;
   let slot = q.popped mod q.slots in
   q.popped <- q.popped + 1;
@@ -92,7 +105,6 @@ let pop_queue t q ctx =
   (* The consumer re-reads the packet headers written upstream. *)
   Ctx.touch_packet ctx pkt ~fn:Flow.fn_from_device ~write:false ~pos:0
     ~len:(min header_bytes pkt.Ppp_net.Packet.len);
-  ignore t;
   pkt
 
 let receive t ctx =
@@ -138,46 +150,49 @@ let transmit t ctx pkt =
   Iarray.set t.free_list b ~fn:Flow.fn_skb_recycle slot slot;
   Ctx.compute ctx ~fn:Flow.fn_skb_recycle 15
 
-let idle ctx =
-  let b = ctx.Ctx.builder in
+(* Refresh the stage builder's pooled view and return one of the stage's
+   prebuilt items over it. *)
+let pooled stage item =
+  let (_ : Ppp_hw.Trace.t) = Ppp_hw.Trace.Builder.view stage.ctx.Ctx.builder in
+  item
+
+let idle stage =
+  let b = stage.ctx.Ctx.builder in
   Ppp_hw.Trace.Builder.clear b;
   Ppp_hw.Trace.Builder.stall b stall_cycles;
-  Ppp_hw.Engine.Idle (Ppp_hw.Trace.Builder.finish b)
+  pooled stage stage.idle
 
 let stage_source t stage (_now : int) =
-  let b = stage.ctx.Ctx.builder in
   let n = Array.length t.stages in
   let is_first = stage.index = 0 and is_last = stage.index = n - 1 in
   let inq = if is_first then None else Some t.queues.(stage.index - 1) in
   let outq = if is_last then None else Some t.queues.(stage.index) in
   let input_ready = match inq with None -> true | Some q -> not (Queue.is_empty q.fifo) in
   let output_ready = match outq with None -> true | Some q -> not (queue_full q) in
-  if not (input_ready && output_ready) then idle stage.ctx
+  if not (input_ready && output_ready) then idle stage
   else begin
-    Ppp_hw.Trace.Builder.clear b;
+    Ppp_hw.Trace.Builder.clear stage.ctx.Ctx.builder;
     let pkt =
       match inq with
       | None -> receive t stage.ctx
-      | Some q -> pop_queue t q stage.ctx
+      | Some q -> pop_queue q stage.ctx
     in
     match Element.process_all stage.elements stage.ctx pkt with
     | Element.Drop ->
+        (* A drop completes no packet, at the egress stage too: the work
+           done on it is an idle item at every stage. *)
         t.dropped <- t.dropped + 1;
-        if is_last then begin
-          (* Count drops as completed work items at the egress stage. *)
-          Ppp_hw.Engine.Idle (Ppp_hw.Trace.Builder.finish b)
-        end
-        else Ppp_hw.Engine.Idle (Ppp_hw.Trace.Builder.finish b)
+        pooled stage stage.idle
     | Element.Forward ->
         (match outq with
-        | Some q -> push_queue t q stage.ctx pkt
+        | Some q -> push_queue q stage.ctx pkt
         | None -> ());
         if is_last then begin
           transmit t stage.ctx pkt;
           t.forwarded <- t.forwarded + 1;
-          Ppp_hw.Engine.Packet (Ppp_hw.Trace.Builder.finish b)
+          pooled stage stage.packet
         end
-        else Ppp_hw.Engine.Idle (Ppp_hw.Trace.Builder.finish b)
+        else pooled stage stage.idle
   end
 
 let sources t = Array.map (fun st -> stage_source t st) t.stages

@@ -1,17 +1,25 @@
 type geometry = { size_bytes : int; ways : int; line_bytes : int }
 
+(* Packed layout: set [s] is the contiguous block
+   [data.(s * stride) .. data.(s * stride + stride - 1)] holding
+
+     [ tags (ways) | LRU stamps (ways) | aux lsl 1 lor dirty (ways) | mru ]
+
+   so a lookup reads one contiguous block instead of five parallel
+   arrays. A slot is the index of its tag word: its stamp lives
+   [ways] words later and its aux/dirty word [2 * ways] words later. A tag
+   of -1 marks an invalid way (line numbers are non-negative). [mru] holds
+   the slot of the set's last hit or fill — way prediction for [probe].
+   Purely an accelerator: a stale entry just falls through to the full
+   scan, so it never changes what a lookup returns. *)
 type t = {
   geo : geometry;
   nsets : int;
+  ways : int;
+  stride : int; (* 3 * ways + 1 words per set *)
+  set_mask : int;
   line_shift : int;
-  tags : int array; (* nsets * ways; -1 = invalid; otherwise the line number *)
-  stamp : int array; (* LRU timestamps *)
-  dirty_bits : Bytes.t;
-  auxs : int array;
-  mru : int array;
-      (* per set: the way of the last hit or fill — way prediction for
-         [probe]. Purely an accelerator: a stale entry just falls through
-         to the full scan, so it never changes what a lookup returns. *)
+  data : int array;
   mutable tick : int;
   mutable valid : int;
 }
@@ -24,6 +32,20 @@ let log2 n =
   let rec go acc v = if v = 1 then acc else go (acc + 1) (v lsr 1) in
   go 0 n
 
+(* Offsets from a slot (tag word) to its other words, and from a set's
+   base to its mru word. *)
+let[@inline] stamp_ix t i = i + t.ways
+let[@inline] meta_ix t i = i + (2 * t.ways)
+let[@inline] mru_ix t b = b + (3 * t.ways)
+
+let reset_sets t =
+  for s = 0 to t.nsets - 1 do
+    let b = s * t.stride in
+    Array.fill t.data b t.ways (-1);
+    Array.fill t.data (b + t.ways) (2 * t.ways) 0;
+    t.data.(mru_ix t b) <- b
+  done
+
 let create geo =
   if not (is_pow2 geo.line_bytes) then
     invalid_arg "Cache.create: line_bytes must be a power of two";
@@ -33,48 +55,53 @@ let create geo =
   let nsets = geo.size_bytes / (geo.ways * geo.line_bytes) in
   if not (is_pow2 nsets) then
     invalid_arg "Cache.create: set count must be a power of two";
-  let n = nsets * geo.ways in
-  {
-    geo;
-    nsets;
-    line_shift = log2 geo.line_bytes;
-    tags = Array.make n (-1);
-    stamp = Array.make n 0;
-    dirty_bits = Bytes.make n '\000';
-    auxs = Array.make n 0;
-    mru = Array.make nsets 0;
-    tick = 0;
-    valid = 0;
-  }
+  let stride = (3 * geo.ways) + 1 in
+  let t =
+    {
+      geo;
+      nsets;
+      ways = geo.ways;
+      stride;
+      set_mask = nsets - 1;
+      line_shift = log2 geo.line_bytes;
+      data = Array.make (nsets * stride) 0;
+      tick = 0;
+      valid = 0;
+    }
+  in
+  reset_sets t;
+  t
 
 let geometry t = t.geo
 let sets t = t.nsets
-let lines t = t.nsets * t.geo.ways
+let lines t = t.nsets * t.ways
 let line_of_addr t addr = addr lsr t.line_shift
-let set_of_line t line = line land (t.nsets - 1)
-let base t line = set_of_line t line * t.geo.ways
+let[@inline] base t line = (line land t.set_mask) * t.stride
 
 (* The simulator's innermost loop ends here: every replayed memory op probes
    one to three of these way scans. Sentinel returns (no option box), unsafe
    reads, and a flat while-loop (a local recursive function would cost a
    closure per probe without flambda) keep the hit path allocation-free;
-   indices are in range by construction (base + w < nsets * ways).
+   indices are in range by construction (base + stride <= nsets * stride).
+   [probe] and the slot accessors are [@inline]: the default (release)
+   build compiles without -opaque, so they inline into [Hierarchy] too.
 
-   The per-set way prediction in [mru] resolves the common re-hit — packet
+   The per-set way prediction resolves the common re-hit — packet
    processing touches the same handful of lines over and over — in one
    compare instead of a scan. A mispredict falls through to the scan, so
    prediction state can never change a result. *)
 let[@inline] probe t line =
-  let s = set_of_line t line in
-  let b = s * t.geo.ways in
-  let p = b + Array.unsafe_get t.mru s in
-  if Array.unsafe_get t.tags p = line then p
+  let d = t.data in
+  let b = base t line in
+  let m = mru_ix t b in
+  let p = Array.unsafe_get d m in
+  if Array.unsafe_get d p = line then p
   else begin
-    let last = b + t.geo.ways - 1 in
+    let last = b + t.ways - 1 in
     let i = ref b in
-    while !i <= last && Array.unsafe_get t.tags !i <> line do incr i done;
+    while !i <= last && Array.unsafe_get d !i <> line do incr i done;
     if !i <= last then begin
-      Array.unsafe_set t.mru s (!i - b);
+      Array.unsafe_set d m !i;
       !i
     end
     else none
@@ -82,38 +109,44 @@ let[@inline] probe t line =
 
 let[@inline] touch t i =
   t.tick <- t.tick + 1;
-  Array.unsafe_set t.stamp i t.tick
+  Array.unsafe_set t.data (stamp_ix t i) t.tick
 
 let[@inline] find t line =
   let i = probe t line in
   if i >= 0 then touch t i;
   i
 
-let[@inline] dirty t i = Bytes.unsafe_get t.dirty_bits i <> '\000'
+let[@inline] dirty t i = Array.unsafe_get t.data (meta_ix t i) land 1 <> 0
 
 let[@inline] set_dirty t i d =
-  Bytes.unsafe_set t.dirty_bits i (if d then '\001' else '\000')
+  let m = meta_ix t i in
+  let w = Array.unsafe_get t.data m in
+  Array.unsafe_set t.data m (if d then w lor 1 else w land lnot 1)
 
-let[@inline] aux t i = Array.unsafe_get t.auxs i
-let[@inline] set_aux t i v = Array.unsafe_set t.auxs i v
-let[@inline] line t i = Array.unsafe_get t.tags i
-let[@inline] slot_valid t i = Array.unsafe_get t.tags i <> -1
+let[@inline] aux t i = Array.unsafe_get t.data (meta_ix t i) asr 1
+
+let[@inline] set_aux t i v =
+  let m = meta_ix t i in
+  Array.unsafe_set t.data m ((v lsl 1) lor (Array.unsafe_get t.data m land 1))
+
+let[@inline] line t i = Array.unsafe_get t.data i
+let[@inline] slot_valid t i = Array.unsafe_get t.data i <> -1
 
 (* Two-step insert protocol: [victim_slot] picks the way [fill] will
    overwrite — an invalid way if the set has one, else its LRU way — so the
    caller reads the victim's line/dirty/aux in place and handles writeback
    before filling. No eviction record is ever allocated. *)
 let victim_slot t line =
+  let d = t.data in
   let b = base t line in
   let victim = ref (-1) in
   let lru = ref b in
-  let lru_stamp = ref (Array.unsafe_get t.stamp b) in
-  for w = 0 to t.geo.ways - 1 do
-    let i = b + w in
-    let tag = Array.unsafe_get t.tags i in
+  let lru_stamp = ref (Array.unsafe_get d (stamp_ix t b)) in
+  for i = b to b + t.ways - 1 do
+    let tag = Array.unsafe_get d i in
     if tag = line then invalid_arg "Cache.victim_slot: line already resident";
     if tag = -1 && !victim = -1 then victim := i;
-    let s = Array.unsafe_get t.stamp i in
+    let s = Array.unsafe_get d (stamp_ix t i) in
     if s < !lru_stamp then begin
       lru := i;
       lru_stamp := s
@@ -121,18 +154,19 @@ let victim_slot t line =
   done;
   if !victim >= 0 then !victim else !lru
 
-(* [find] and [victim_slot] in one pass over the set, for the L3 miss path
-   (which always needs one or the other): a hit behaves exactly like [find]
-   (touch, way prediction); a miss returns the way [fill] must overwrite,
-   encoded as [-2 - slot] to keep the result an immediate int. The victim
-   choice — first invalid way, else first-scanned LRU way — replicates
-   [victim_slot] decision for decision. *)
+(* [find] and [victim_slot] in one pass over the set, for lookups that
+   always need one or the other (every level of the hierarchy's miss
+   path): a hit behaves exactly like [find] (touch, way prediction); a miss
+   returns the way [fill] must overwrite, encoded as [-2 - slot] to keep
+   the result an immediate int. The victim choice — first invalid way,
+   else first-scanned LRU way — replicates [victim_slot] decision for
+   decision. *)
 let find_or_victim t line =
-  let ways = t.geo.ways in
-  let s = set_of_line t line in
-  let b = s * ways in
-  let p = b + Array.unsafe_get t.mru s in
-  if Array.unsafe_get t.tags p = line then begin
+  let d = t.data in
+  let b = base t line in
+  let m = mru_ix t b in
+  let p = Array.unsafe_get d m in
+  if Array.unsafe_get d p = line then begin
     touch t p;
     p
   end
@@ -140,24 +174,24 @@ let find_or_victim t line =
     let hit = ref (-1) in
     let invalid = ref (-1) in
     let lru = ref b in
-    let lru_stamp = ref (Array.unsafe_get t.stamp b) in
-    let w = ref 0 in
-    while !hit < 0 && !w < ways do
-      let i = b + !w in
-      let tag = Array.unsafe_get t.tags i in
-      if tag = line then hit := i
+    let lru_stamp = ref (Array.unsafe_get d (stamp_ix t b)) in
+    let i = ref b in
+    let last = b + t.ways - 1 in
+    while !hit < 0 && !i <= last do
+      let tag = Array.unsafe_get d !i in
+      if tag = line then hit := !i
       else begin
-        if tag = -1 && !invalid = -1 then invalid := i;
-        let st = Array.unsafe_get t.stamp i in
+        if tag = -1 && !invalid = -1 then invalid := !i;
+        let st = Array.unsafe_get d (stamp_ix t !i) in
         if st < !lru_stamp then begin
-          lru := i;
+          lru := !i;
           lru_stamp := st
         end
       end;
-      incr w
+      incr i
     done;
     if !hit >= 0 then begin
-      Array.unsafe_set t.mru s (!hit - b);
+      Array.unsafe_set d m !hit;
       touch t !hit;
       !hit
     end
@@ -165,21 +199,20 @@ let find_or_victim t line =
   end
 
 let fill t ~slot ~dirty ~aux line =
-  if Array.unsafe_get t.tags slot = -1 then t.valid <- t.valid + 1;
-  Array.unsafe_set t.tags slot line;
-  set_dirty t slot dirty;
-  Array.unsafe_set t.auxs slot aux;
+  let d = t.data in
+  if Array.unsafe_get d slot = -1 then t.valid <- t.valid + 1;
+  Array.unsafe_set d slot line;
+  Array.unsafe_set d (meta_ix t slot) ((aux lsl 1) lor Bool.to_int dirty);
   (* Point the set's way prediction at the freshly inserted line. *)
-  let s = slot / t.geo.ways in
-  Array.unsafe_set t.mru s (slot - (s * t.geo.ways));
+  Array.unsafe_set d (mru_ix t (base t line)) slot;
   touch t slot
 
 let invalidate_slot t i =
-  if Array.unsafe_get t.tags i <> -1 then begin
-    Array.unsafe_set t.tags i (-1);
-    Array.unsafe_set t.stamp i 0;
-    set_dirty t i false;
-    Array.unsafe_set t.auxs i 0;
+  let d = t.data in
+  if Array.unsafe_get d i <> -1 then begin
+    Array.unsafe_set d i (-1);
+    Array.unsafe_set d (stamp_ix t i) 0;
+    Array.unsafe_set d (meta_ix t i) 0;
     t.valid <- t.valid - 1
   end
 
@@ -196,17 +229,16 @@ let occupancy t = t.valid
 
 let fold_resident t ~init f =
   let acc = ref init in
-  for i = 0 to Array.length t.tags - 1 do
-    if t.tags.(i) <> -1 then
-      acc := f !acc t.tags.(i) ~dirty:(dirty t i) ~aux:t.auxs.(i)
+  for s = 0 to t.nsets - 1 do
+    let b = s * t.stride in
+    for i = b to b + t.ways - 1 do
+      if t.data.(i) <> -1 then
+        acc := f !acc t.data.(i) ~dirty:(dirty t i) ~aux:(aux t i)
+    done
   done;
   !acc
 
 let clear t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamp 0 (Array.length t.stamp) 0;
-  Bytes.fill t.dirty_bits 0 (Bytes.length t.dirty_bits) '\000';
-  Array.fill t.auxs 0 (Array.length t.auxs) 0;
-  Array.fill t.mru 0 t.nsets 0;
+  reset_sets t;
   t.tick <- 0;
   t.valid <- 0

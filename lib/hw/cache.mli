@@ -11,7 +11,9 @@
     or the {!none} sentinel instead of an option, and insertion is a
     two-step [victim_slot]/[fill] protocol instead of an eviction record.
     Slots are transient handles — valid until the next [fill], [invalidate]
-    or [clear] on the same cache — and are meaningless across caches. *)
+    or [clear] on the same cache — and are meaningless across caches.
+    Internally each set is one contiguous block of a single int array
+    (tags, LRU stamps, aux/dirty words, way prediction). *)
 
 type t
 
@@ -69,7 +71,7 @@ val victim_slot : t -> int -> int
 
 val find_or_victim : t -> int -> int
 (** {!find} and {!victim_slot} in a single scan of the set, for paths that
-    always need one or the other (the hierarchy's L3 lookup). A hit acts
+    always need one or the other (every lookup of [Hierarchy.access]). A hit acts
     exactly like {!find} (LRU promotion) and returns the slot; a miss
     returns [-2 - v] where [v] is the slot {!victim_slot} would pick — the
     line's LRU state is untouched, matching a plain missed {!find}. *)
@@ -77,7 +79,8 @@ val find_or_victim : t -> int -> int
 val fill : t -> slot:int -> dirty:bool -> aux:int -> int -> unit
 (** [fill t ~slot ~dirty ~aux line] makes [line] resident in [slot] as MRU,
     overwriting whatever the slot held. [slot] should come from
-    {!victim_slot} for [line] (same set; unchecked). *)
+    {!victim_slot} or a missed {!find_or_victim} for [line] (same set;
+    unchecked). *)
 
 val invalidate_slot : t -> int -> unit
 (** Empties a slot (no-op if already empty). *)

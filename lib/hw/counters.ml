@@ -53,9 +53,11 @@ let diff later earlier =
   }
 
 (* The add functions run once (or more) per simulated memory op, called
-   from the hierarchy's hit paths: [@inline] so the classic compiler can
-   inline them cross-module, and fn-indexed writes masked into range
-   (fn tags are 6-bit by construction) in place of two bounds checks. *)
+   from the hierarchy's hit paths: [@inline], which the classic compiler
+   honours across modules in the default (release) build — dune's dev
+   profile compiles with -opaque and inlines nothing across modules — and
+   fn-indexed writes masked into range (fn tags are 6-bit by
+   construction) in place of two bounds checks. *)
 let[@inline] add_instructions t n = t.instructions <- t.instructions + n
 
 let[@inline] bump a fn =

@@ -54,28 +54,28 @@ let writeback_to_l3 t ~socket ~line ~now =
     Memctrl.writeback t.memctrls.(min node (Array.length t.memctrls - 1)) ~now
   end
 
-(* Insert [line] into a private cache, cascading dirty victims downwards.
-   Victims are read in place through the two-step victim_slot/fill protocol
-   — the victim's identity and dirtiness live in the slot until [fill]
-   overwrites them, so no eviction record exists. Victim handling only
-   touches *lower* levels, so doing it before the fill is state-identical
-   to the old insert-then-handle order. *)
-let fill_private t ~core ~socket ~line ~exclusive ~dirty ~now =
+(* Insert [line] into a core's private caches, cascading dirty victims
+   downwards. [s1]/[s2] are the L1/L2 slots to fill — the victims the
+   caller's single lookup scan of each set picked (see [access]). Victims
+   are read in place through the two-step victim/fill protocol: the
+   victim's identity and dirtiness live in the slot until [fill] overwrites
+   them, so no eviction record exists. Victim handling only touches *lower*
+   levels, so doing it before the fill is state-identical to an
+   insert-then-handle order. *)
+let fill_private t ~core ~socket ~line ~exclusive ~dirty ~now ~s1 ~s2 =
   let aux = if exclusive then excl else 0 in
   let l2 = t.l2s.(core) in
-  let s2 = Cache.victim_slot l2 line in
   if Cache.slot_valid l2 s2 && Cache.dirty l2 s2 then
     writeback_to_l3 t ~socket ~line:(Cache.line l2 s2) ~now;
   Cache.fill l2 ~slot:s2 ~dirty:false ~aux line;
   let l1 = t.l1s.(core) in
-  let s1 = Cache.victim_slot l1 line in
   if Cache.slot_valid l1 s1 && Cache.dirty l1 s1 then begin
     (* L1 victim descends into L2 (non-inclusive L2, as on Westmere). *)
     let victim_line = Cache.line l1 s1 in
-    let sv = Cache.find l2 victim_line in
-    if sv >= 0 then Cache.set_dirty l2 sv true
+    let fv = Cache.find_or_victim l2 victim_line in
+    if fv >= 0 then Cache.set_dirty l2 fv true
     else begin
-      let sv = Cache.victim_slot l2 victim_line in
+      let sv = -2 - fv in
       if Cache.slot_valid l2 sv && Cache.dirty l2 sv then
         writeback_to_l3 t ~socket ~line:(Cache.line l2 sv) ~now;
       Cache.fill l2 ~slot:sv ~dirty:true ~aux:0 victim_line
@@ -158,6 +158,16 @@ let mark_exclusive cache line =
   let slot = Cache.probe cache line in
   if slot >= 0 then Cache.set_aux cache slot excl
 
+(* One load/store. Each level's set is scanned once: the L1 and L2
+   lookups are [find_or_victim], so a miss at a level already knows the
+   slot [fill_private] will overwrite there, and nothing between the
+   lookups and the fill touches the accessing core's private caches —
+   snoops skip the requester — except the L3 victim's back-invalidation on
+   an L3 miss. That is the one case where the victims are recomputed: only
+   at a level whose occupancy the back-invalidation changed. (With the
+   standard geometries the L3 victim shares [line]'s L3 set index and so
+   its L1 and L2 sets too; where it does not, the recompute is merely
+   redundant.) *)
 let access t ~core ~write ~fn ~addr ~now =
   let costs = t.costs in
   let ctr = Array.unsafe_get t.counters core in
@@ -165,7 +175,7 @@ let access t ~core ~write ~fn ~addr ~now =
   Counters.add_instructions ctr 1;
   let l1 = Array.unsafe_get t.l1s core in
   let line = Cache.line_of_addr l1 addr in
-  let slot = Cache.find l1 line in
+  let slot = Cache.find_or_victim l1 line in
   if slot >= 0 then begin
     (* L1 hit — the simulator's common case; nothing here may allocate. *)
     Array.unsafe_set t.miss_streak core false;
@@ -188,11 +198,12 @@ let access t ~core ~write ~fn ~addr ~now =
     else costs.Costs.l1_lat
   end
   else begin
+    let s1 = -2 - slot in
     let socket = Array.unsafe_get t.socket_of core in
     let self_li = Array.unsafe_get t.local_ix core in
     let self = 1 lsl self_li in
     let l2 = t.l2s.(core) in
-    let slot = Cache.find l2 line in
+    let slot = Cache.find_or_victim l2 line in
     if slot >= 0 then begin
       (* L2 hit: refill L1. *)
       t.miss_streak.(core) <- false;
@@ -203,18 +214,21 @@ let access t ~core ~write ~fn ~addr ~now =
       in
       let exclusive = exclusive || write in
       let dirty_in_l2 = Cache.dirty l2 slot in
-      Cache.invalidate_slot l2 slot;
       (* Move up to L1 (keeping dirtiness); L2 copy dropped to avoid
-         double-tracking dirtiness across the two private levels. *)
+         double-tracking dirtiness across the two private levels, then
+         refilled clean into the slot it just vacated. Which free way the
+         line lands in is unobservable: victim choice depends only on the
+         resident lines' LRU stamps, and an invalid way is always taken
+         before any valid one. *)
+      Cache.invalidate_slot l2 slot;
       fill_private t ~core ~socket ~line ~exclusive
-        ~dirty:(dirty_in_l2 || write) ~now;
+        ~dirty:(dirty_in_l2 || write) ~now ~s1 ~s2:slot;
       costs.Costs.l2_lat + extra
     end
     else begin
+      let s2 = -2 - slot in
       let l3 = t.l3s.(socket) in
-      (* Hit slot or victim slot in one scan of the set — the miss path
-         needs the victim anyway, and the two-scan shape paid for it
-         twice. *)
+      (* Hit slot or victim slot in one scan of the set. *)
       let fv = Cache.find_or_victim l3 line in
       let slot = fv in
       if slot >= 0 then begin
@@ -240,7 +254,7 @@ let access t ~core ~write ~fn ~addr ~now =
           end
         else Cache.set_aux l3 slot (bits lor self);
         let exclusive = Cache.aux l3 slot = self in
-        fill_private t ~core ~socket ~line ~exclusive ~dirty:write ~now;
+        fill_private t ~core ~socket ~line ~exclusive ~dirty:write ~now ~s1 ~s2;
         costs.Costs.l3_lat + !snoop_cost
       end
       else begin
@@ -267,6 +281,7 @@ let access t ~core ~write ~fn ~addr ~now =
            lookup scan above; nothing between the scan and here touches the
            L3, so the choice is the one [victim_slot] would make now. *)
         let vs = -2 - fv in
+        let o1 = Cache.occupancy l1 and o2 = Cache.occupancy l2 in
         if Cache.slot_valid l3 vs then begin
           let victim_line = Cache.line l3 vs in
           let victim_dirty = Cache.dirty l3 vs in
@@ -288,13 +303,21 @@ let access t ~core ~write ~fn ~addr ~now =
           end
         end;
         Cache.fill l3 ~slot:vs ~dirty:write ~aux:self line;
-        fill_private t ~core ~socket ~line ~exclusive:true ~dirty:write ~now;
+        (* Recompute a victim only where the back-invalidation freed a
+           way of this core's own (see above). *)
+        let s1 = if Cache.occupancy l1 <> o1 then Cache.victim_slot l1 line else s1 in
+        let s2 = if Cache.occupancy l2 <> o2 then Cache.victim_slot l2 line else s2 in
+        fill_private t ~core ~socket ~line ~exclusive:true ~dirty:write ~now ~s1 ~s2;
         costs.Costs.l3_lat + dram_exposed + queue_wait
         + (if remote then costs.Costs.qpi_lat else 0)
       end
     end
   end
 
+(* Under inclusion — every line a private cache holds is in its socket's
+   L3 with that core's directory bit set — a socket whose L3 lacks the
+   line holds no private copy either, so only the directory's holders are
+   snooped. *)
 let dma_write t ~addr ~now =
   let line = Cache.line_of_addr t.l1s.(0) addr in
   for socket = 0 to Array.length t.l3s - 1 do
@@ -304,13 +327,6 @@ let dma_write t ~addr ~now =
       let bits = Cache.aux l3 slot in
       Cache.invalidate_slot l3 slot;
       ignore (invalidate_holders t ~socket ~bits ~excluding:(-1) ~line : bool)
-    end
-    else begin
-      (* Directory is conservative; sweep private caches anyway. *)
-      let base = socket * t.topo.Topology.cores_per_socket in
-      for li = 0 to t.topo.Topology.cores_per_socket - 1 do
-        ignore (invalidate_private t ~core:(base + li) ~line : bool)
-      done
     end
   done;
   let node = Topology.node_of_addr addr in
@@ -330,11 +346,7 @@ let private_resident t ~core ~addr =
   let line = Cache.line_of_addr l1 addr in
   Cache.resident l1 line || Cache.resident t.l2s.(core) line
 
-let directory_marks t ~core ~addr =
-  let socket = Topology.socket_of_core t.topo core in
-  let l3 = t.l3s.(socket) in
-  let slot = Cache.probe l3 (Cache.line_of_addr l3 addr) in
-  slot >= 0
-  && Cache.aux l3 slot land (1 lsl Topology.local_index t.topo core) <> 0
-
 let memctrl_transactions t ~node = Memctrl.transactions t.memctrls.(node)
+let l1 t ~core = t.l1s.(core)
+let l2 t ~core = t.l2s.(core)
+let l3 t ~socket = t.l3s.(socket)

@@ -30,7 +30,10 @@ val access : t -> core:int -> write:bool -> fn:Fn.t -> addr:int -> now:int -> in
 val dma_write : t -> addr:int -> now:int -> unit
 (** A NIC DMA write to the line containing [addr]: the line is discarded
     from every cache (all sockets, all private caches) and one transaction
-    is charged to the home node's memory controller. No core waits. *)
+    is charged to the home node's memory controller. No core waits. Only
+    the L3 directory's holders are snooped: by inclusion, a private cache
+    holds a line only while its socket's L3 does, with that core's
+    directory bit set. *)
 
 val l3_occupancy : t -> socket:int -> int
 (** Resident L3 lines on a socket (for tests). *)
@@ -38,10 +41,10 @@ val l3_occupancy : t -> socket:int -> int
 val l3_resident : t -> socket:int -> addr:int -> bool
 val private_resident : t -> core:int -> addr:int -> bool
 
-val directory_marks : t -> core:int -> addr:int -> bool
-(** True when the core's socket L3 holds [addr]'s line and its presence-bit
-    directory lists [core] as a (possible) holder. The directory is
-    conservative: a line resident in a private cache must be marked, the
-    converse need not hold. For inclusion-invariant tests. *)
-
 val memctrl_transactions : t -> node:int -> int
+
+val l1 : t -> core:int -> Cache.t
+val l2 : t -> core:int -> Cache.t
+val l3 : t -> socket:int -> Cache.t
+(** The caches themselves, for inspection (resident sets in tests);
+    mutating one voids the hierarchy's invariants. *)
